@@ -24,15 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from ..backend import ops as B
-from ..backend import realize
 from ..backend.conv_plan import (
-    get_conv_transpose_mode, plan_conv, plan_conv_transpose,
-    run_conv_backward, run_conv_forward, run_conv_transpose_backward,
-    run_conv_transpose_forward,
+    plan_conv, plan_conv_transpose, run_conv_backward, run_conv_forward,
+    run_conv_transpose_backward, run_conv_transpose_forward,
 )
 from .function import Context, Function
 from .tensor import Tensor
-from . import ops_basic as ob
 
 __all__ = [
     "conv_nd", "conv_transpose_nd", "max_pool_nd", "avg_pool_nd",
@@ -83,9 +80,6 @@ class ConvNd(Function):
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                 stride: tuple[int, ...], padding: tuple[int, ...]) -> np.ndarray:
-        # The planner works on concrete strided buffers: crossing into it
-        # is a realize barrier for the lazy backend.
-        x, w = realize(x), realize(w)
         nd = x.ndim - 2
         n, cin = x.shape[:2]
         cout = w.shape[0]
@@ -95,7 +89,7 @@ class ConvNd(Function):
 
         if any(padding):
             padw = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-            xp = realize(B.pad(x, padw))
+            xp = B.pad(x, padw)
         else:
             xp = x
         out_spatial = conv_output_shape(xp.shape[2:], kernel, stride, (0,) * nd)
@@ -103,9 +97,7 @@ class ConvNd(Function):
         plan = plan_conv(x.shape, w.shape, stride, padding, x.dtype)
         out = run_conv_forward(plan, xp, w, stride, out_spatial)
         if b is not None:
-            # Dispatch the epilogue through the registry so the lazy
-            # backend can fuse conv -> bias-add -> activation.
-            out = B.asarray(out) + realize(b).reshape((1, cout) + (1,) * nd)
+            out = out + b.reshape((1, cout) + (1,) * nd)
 
         ctx.save_for_backward(xp, w)
         ctx.meta.update(stride=stride, padding=padding, kernel=kernel,
@@ -123,8 +115,7 @@ class ConvNd(Function):
         plan = ctx.meta["plan"]
         nd = len(kernel)
 
-        grad = realize(grad)
-        gmoved = realize(B.moveaxis(grad, 1, -1))            # (N, *So, Cout)
+        gmoved = B.moveaxis(grad, 1, -1)                     # (N, *So, Cout)
         dxp, dw = run_conv_backward(plan, xp, w, gmoved, stride, out_spatial)
         # Strip padding.
         if any(padding):
@@ -155,9 +146,6 @@ class ConvTransposeNd(Function):
     def forward(ctx: Context, x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                 stride: tuple[int, ...], padding: tuple[int, ...],
                 output_padding: tuple[int, ...]) -> np.ndarray:
-        # The scatter engines work on concrete strided buffers: crossing
-        # into them is a realize barrier for the lazy backend.
-        x, w = realize(x), realize(w)
         nd = x.ndim - 2
         cin, cout = w.shape[:2]
         if x.shape[1] != cin:
@@ -167,9 +155,7 @@ class ConvTransposeNd(Function):
                                    output_padding, x.dtype)
         out = run_conv_transpose_forward(plan, x, w)
         if b is not None:
-            # Dispatch the epilogue through the registry so the lazy
-            # backend can fuse the bias-add into the following activation.
-            out = B.asarray(out) + realize(b).reshape((1, cout) + (1,) * nd)
+            out = out + b.reshape((1, cout) + (1,) * nd)
 
         ctx.save_for_backward(x, w)
         ctx.meta.update(plan=plan, has_bias=b is not None, nd=nd)
@@ -180,7 +166,6 @@ class ConvTransposeNd(Function):
         x, w = ctx.saved
         plan = ctx.meta["plan"]
         nd = ctx.meta["nd"]
-        grad = realize(grad)
         dx, dw = run_conv_transpose_backward(plan, x, w, grad)
         db = None
         if ctx.meta["has_bias"]:
@@ -269,19 +254,8 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
                       stride: int | Sequence[int] = 1,
                       padding: int | Sequence[int] = 0,
                       output_padding: int | Sequence[int] = 0) -> Tensor:
-    """Functional N-d transposed convolution.
-
-    Two numerically equivalent paths, selected by
-    :func:`repro.backend.conv_plan.set_conv_transpose_mode` (or
-    ``REPRO_CONVT_PLAN``):
-
-    * ``scatter`` (default) — the planned output-scatter GEMM engine
-      (:class:`ConvTransposeNd`): no zero-stuffed intermediate, dedicated
-      backward.
-    * ``compose`` — the original composition of differentiable
-      primitives (zero-stuffing, padding, weight flip, channel transpose,
-      stride-1 conv), kept as the parity reference.
-    """
+    """Functional N-d transposed convolution (the output-scatter engine
+    of :class:`ConvTransposeNd`)."""
     nd = x.ndim - 2
     stride_t = tuplify(stride, nd)
     padding_t = tuplify(padding, nd)
@@ -292,18 +266,7 @@ def conv_transpose_nd(x: Tensor, w: Tensor, b: Tensor | None = None,
             raise ValueError("padding larger than kernel-1 is unsupported")
         if op >= max(stride_t):
             raise ValueError("output_padding must be < stride")
-
-    if get_conv_transpose_mode() == "scatter":
-        return ConvTransposeNd.apply(x, w, b, stride_t, padding_t, outpad_t)
-
-    xz = ob.zero_stuff(x, stride_t) if any(s > 1 for s in stride_t) else x
-    padw = [(0, 0), (0, 0)] + [
-        (k - 1 - p, k - 1 - p + op)
-        for k, p, op in zip(kernel, padding_t, outpad_t)]
-    xp = ob.pad(xz, padw)
-    wf = ob.flip(w, axis=tuple(range(2, 2 + nd)))
-    wt = ob.moveaxis(wf, 0, 1)  # (Cout, Cin, *K)
-    return conv_nd(xp, wt, b, stride=1, padding=0)
+    return ConvTransposeNd.apply(x, w, b, stride_t, padding_t, outpad_t)
 
 
 def max_pool_nd(x: Tensor, kernel: int | Sequence[int] = 2) -> Tensor:

@@ -15,7 +15,6 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ..backend import ops as B
-from ..backend import is_lazy, realize
 from ..backend.dtype import get_default_dtype, set_default_dtype
 from .function import Context, Function, is_grad_enabled
 
@@ -30,7 +29,7 @@ class Tensor:
     def __init__(self, data: Any, requires_grad: bool = False, dtype: Any = None) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        if isinstance(data, (np.ndarray, np.generic)) or is_lazy(data):
+        if isinstance(data, (np.ndarray, np.generic)):
             data = B.asarray(data)
             if dtype is not None and data.dtype != np.dtype(dtype):
                 data = data.astype(dtype)
@@ -65,8 +64,8 @@ class Tensor:
         return self.data.dtype
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy; realizes lazy graphs)."""
-        return realize(self.data)
+        """Return the underlying array (no copy)."""
+        return self.data
 
     def item(self) -> float:
         if self.data.size != 1:

@@ -28,25 +28,16 @@ from .threaded import ThreadedBackend
 # Lazily constructed so importing repro.backend never spins up a pool;
 # the executor itself is created on first threaded contraction.
 register_backend("threaded", ThreadedBackend)
-from .lazy import (
-    LazyArray, LazyBackend, is_lazy, lazy_stats, realize, realize_all,
-    reset_lazy_stats,
-)
-
-register_backend("lazy", LazyBackend)
 from .conv_plan import (
     ConvSignature, ConvPlan, plan_conv, clear_plan_cache, plan_cache_info,
     set_conv_plan_mode, get_conv_plan_mode,
     ConvTransposePlan, plan_conv_transpose,
-    set_conv_transpose_mode, get_conv_transpose_mode,
     host_fingerprint, autotune_cache_path, set_autotune_cache_path,
     autotune_table, clear_autotune_table, save_autotune_table,
 )
 
 __all__ = [
     "ArrayBackend", "BackendOpError", "NumpyBackend", "ThreadedBackend",
-    "LazyBackend", "LazyArray", "realize", "realize_all", "is_lazy",
-    "lazy_stats", "reset_lazy_stats",
     "BufferPool", "PoolStats", "get_pool",
     "get_default_dtype", "set_default_dtype", "dtype_scope",
     "register_backend", "available_backends", "set_backend", "get_backend",
@@ -54,7 +45,6 @@ __all__ = [
     "ConvSignature", "ConvPlan", "plan_conv", "clear_plan_cache",
     "plan_cache_info", "set_conv_plan_mode", "get_conv_plan_mode",
     "ConvTransposePlan", "plan_conv_transpose",
-    "set_conv_transpose_mode", "get_conv_transpose_mode",
     "host_fingerprint", "autotune_cache_path", "set_autotune_cache_path",
     "autotune_table", "clear_autotune_table", "save_autotune_table",
 ]

@@ -55,7 +55,6 @@ __all__ = [
     "run_conv_forward", "run_conv_backward",
     "ConvTransposePlan", "plan_conv_transpose",
     "run_conv_transpose_forward", "run_conv_transpose_backward",
-    "set_conv_transpose_mode", "get_conv_transpose_mode",
     "host_fingerprint", "autotune_cache_path", "set_autotune_cache_path",
     "autotune_table", "clear_autotune_table", "save_autotune_table",
 ]
@@ -486,28 +485,9 @@ def run_conv_backward(plan: ConvPlan, xp, w, gmoved, stride, out_spatial):
 # contract input channels against the whole kernel once (or per tap),
 # then scatter-add each tap's contribution into the output at offset
 # slices of step ``stride`` — writes touch exactly the nonzero work.
-#
-# ``REPRO_CONVT_PLAN`` / :func:`set_conv_transpose_mode` selects
-# ``scatter`` (default) or ``compose`` (the original differentiable
-# composition, kept as the parity reference).
+# ``tests/backend/test_conv_transpose_plan.py`` keeps the composed path
+# as the parity reference.
 # --------------------------------------------------------------------- #
-
-_CONVT_MODES = ("scatter", "compose")
-_convt_mode = os.environ.get("REPRO_CONVT_PLAN", "scatter")
-if _convt_mode not in _CONVT_MODES:  # pragma: no cover - env misconfig
-    _convt_mode = "scatter"
-
-
-def set_conv_transpose_mode(mode: str) -> None:
-    """Force the conv-transpose path: 'scatter' (default) or 'compose'."""
-    global _convt_mode
-    if mode not in _CONVT_MODES:
-        raise ValueError(f"mode must be one of {_CONVT_MODES}, got {mode!r}")
-    _convt_mode = mode
-
-
-def get_conv_transpose_mode() -> str:
-    return _convt_mode
 
 
 @dataclass(frozen=True)
@@ -584,10 +564,6 @@ def run_conv_transpose_forward(plan: ConvTransposePlan, x, w):
     ``x`` is (N, Cin, *S), ``w`` is (Cin, Cout, *K).  No zero-stuffed
     intermediate exists at any point.
     """
-    from .lazy.graph import realize
-
-    x, w = realize(x), realize(w)
-    nd = x.ndim - 2
     n = x.shape[0]
     cout = w.shape[1]
     kernel = w.shape[2:]
@@ -596,7 +572,7 @@ def run_conv_transpose_forward(plan: ConvTransposePlan, x, w):
     # Accumulate channels-last so each tap scatter is one strided block.
     acc = np.zeros((n,) + full + (cout,), dtype=x.dtype)
     if plan.path == "gemm":
-        cols = realize(B.tensordot(x, w, axes=([1], [0])))
+        cols = B.tensordot(x, w, axes=([1], [0]))
         # cols: (N, *S, Cout, *K)
         for offset in product(*(range(k) for k in kernel)):
             sl = _convt_scatter_slices(offset, spatial, plan.stride)
@@ -604,7 +580,7 @@ def run_conv_transpose_forward(plan: ConvTransposePlan, x, w):
     else:
         for offset in product(*(range(k) for k in kernel)):
             wo = w[(slice(None), slice(None)) + offset]     # (Cin, Cout)
-            tap = realize(B.tensordot(x, wo, axes=([1], [0])))
+            tap = B.tensordot(x, wo, axes=([1], [0]))
             sl = _convt_scatter_slices(offset, spatial, plan.stride)
             acc[(slice(None),) + sl] += tap                  # (N, *S, Cout)
     out = np.moveaxis(acc, -1, 1)
@@ -621,9 +597,6 @@ def run_conv_transpose_backward(plan: ConvTransposePlan, x, w, grad):
     contraction of the input against strided windows of the padded
     gradient.
     """
-    from .lazy.graph import realize
-
-    x, w, grad = realize(x), realize(w), realize(grad)
     nd = x.ndim - 2
     kernel = w.shape[2:]
     spatial = x.shape[2:]
@@ -636,10 +609,10 @@ def run_conv_transpose_backward(plan: ConvTransposePlan, x, w, grad):
     # weight layout with Cout_conv = Cin), same stride, zero padding.
     conv_plan_ = plan_conv(gp.shape, w.shape, plan.stride,
                            (0,) * nd, grad.dtype)
-    dx = realize(run_conv_forward(conv_plan_, gp, w, plan.stride, spatial))
+    dx = run_conv_forward(conv_plan_, gp, w, plan.stride, spatial)
     # dw[ci, co, o] = sum_{n,i} x[n,ci,i] * gp[n,co, st*i + o].
     win = _strided_windows(gp, kernel, plan.stride, nd)  # (N, Cout, *S, *K)
     axes = ((0,) + tuple(range(2, 2 + nd)),
             (0,) + tuple(range(2, 2 + nd)))
-    dw = realize(B.tensordot(x, win, axes=axes))         # (Cin, Cout, *K)
+    dw = B.tensordot(x, win, axes=axes)                  # (Cin, Cout, *K)
     return dx, dw

@@ -108,12 +108,6 @@ class BufferPool:
         """Return a buffer to the pool (drops it when over capacity)."""
         with self._lock:
             self.stats.releases += 1
-            if not isinstance(arr, np.ndarray):
-                # Graph-node wrappers (the lazy backend's LazyArray)
-                # expose an already-realized buffer for pooling; pending
-                # nodes are dropped rather than forced.
-                getbuf = getattr(arr, "_pool_buffer", None)
-                arr = getbuf() if getbuf is not None else None
             if not self.enabled or not isinstance(arr, np.ndarray):
                 return
             if (arr.base is not None or not arr.flags.owndata

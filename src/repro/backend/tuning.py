@@ -1,10 +1,10 @@
 """Host-fingerprinted measure-and-persist cache — the autotuner seam.
 
-Measured performance decisions (which conv engine wins, which JIT kernel
-was compiled) are only valid on the machine that measured them, so every
-persisted record is partitioned under a digest of the performance-relevant
-host facts.  :class:`MeasurementCache` owns the mechanics every measuring
-subsystem needs and none should reimplement:
+Measured performance decisions (which conv engine or tile size wins) are
+only valid on the machine that measured them, so every persisted record
+is partitioned under a digest of the performance-relevant host facts.
+:class:`MeasurementCache` owns the mechanics every measuring subsystem
+needs and none should reimplement:
 
 * a JSON table on disk, ``{"hosts": {<fingerprint>: {<key>: <record>}}}``,
 * an in-memory slice for this host, loaded lazily and saved atomically,
@@ -12,9 +12,9 @@ subsystem needs and none should reimplement:
   and deployments can isolate tables,
 * ``clear(memory_only=True)`` to simulate a process restart.
 
-The conv autotuner (:mod:`repro.backend.conv_plan`) and the lazy
-backend's JIT kernel index (:mod:`repro.backend.lazy.cjit`) are both
-instances of this class over different default paths.
+The conv autotuner (:mod:`repro.backend.conv_plan`) and the tile-size
+autotuner (:mod:`repro.serve.tiling`) are both instances of this class
+over different default paths.
 """
 
 from __future__ import annotations

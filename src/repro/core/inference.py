@@ -71,7 +71,6 @@ def predict_batch(model: MGDiffNet, problem: PoissonProblem,
             u = model(Tensor(log_nu), chi_int, u_bc)
     finally:
         model.train(was_training)
-    # .numpy() is the serve-boundary realize barrier for the lazy backend.
     return u.numpy()[:, 0].copy()
 
 

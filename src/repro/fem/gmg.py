@@ -18,7 +18,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..backend import ops as B
-from ..backend import realize
 
 from .assembly import assemble_load, assemble_stiffness
 from .grid import UniformGrid
@@ -112,16 +111,11 @@ class GeometricMultigrid:
         interior = ~level.dirichlet
         inv_d = B.where(level.diag != 0, 1.0 / level.diag, 0.0)
         for _ in range(sweeps):
-            # The spmv is a realize barrier: under the lazy backend the
-            # previous sweep's damped-Jacobi update chain executes here
-            # as one fused kernel.
-            x = realize(x)
             r = b - level.matrix @ x
             x = x + self.omega * inv_d * r * interior
-        return realize(x)
+        return x
 
     def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        b = realize(b)          # the LU solver needs a concrete buffer
         x = np.zeros_like(b)
         x[self._coarse_interior] = self._coarse_lu.solve(b[self._coarse_interior])
         return x

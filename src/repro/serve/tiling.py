@@ -203,7 +203,6 @@ def _padded_block(x: np.ndarray, block, halo: int):
 def _forward_tile(net, buf: np.ndarray, core_src) -> np.ndarray:
     """One padded-tile forward; returns a fresh copy of the core region."""
     with no_grad():
-        # .numpy() realizes the fused forward under the lazy backend.
         y = net(Tensor(buf)).numpy()
     return y[(slice(None), slice(None)) + core_src].copy()
 

@@ -12,9 +12,19 @@ from repro.backend import (
     get_pool, ops, register_backend, set_backend, set_default_dtype,
     use_backend,
 )
+from repro.backend import registry
 
 
 class TestRegistry:
+    @pytest.fixture(autouse=True)
+    def _restore_registry(self):
+        # Tests below register stub backends; drop them afterwards so the
+        # registered set stays the one a fresh import builds.
+        saved = dict(registry._BACKENDS)
+        yield
+        registry._BACKENDS.clear()
+        registry._BACKENDS.update(saved)
+
     def test_numpy_round_trip(self):
         backend = set_backend("numpy")
         assert backend.name == "numpy"
@@ -24,6 +34,12 @@ class TestRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             set_backend("does-not-exist")
+
+    def test_only_eager_backends_registered(self):
+        assert available_backends() == ("numpy", "threaded")
+        with pytest.raises(ValueError,
+                           match=r"registered: \('numpy', 'threaded'\)"):
+            set_backend("lazy")
 
     def test_register_and_activate_custom(self):
         class StubBackend(NumpyBackend):

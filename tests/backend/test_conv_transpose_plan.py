@@ -1,40 +1,51 @@
 """Output-scatter conv-transpose plan vs the composed reference path.
 
-The scatter engine must be numerically interchangeable with the original
-composition (zero-stuff, pad, flip, stride-1 conv) for every supported
-(stride, padding, output_padding) combination, in forward and in every
-gradient — that is what lets it be the default.  Also pinned: the plan
-memoizes, the 'tap' path is chosen above the patch ceiling, and both
-paths survive gradcheck.
+The scatter engine must be numerically interchangeable with the
+composition of differentiable primitives (zero-stuff, pad, flip,
+stride-1 conv) for every supported (stride, padding, output_padding)
+combination, in forward and in every gradient.  The composition lives
+here only, as the reference.  Also pinned: the plan memoizes, the 'tap'
+path is chosen above the patch ceiling, and both paths survive
+gradcheck.
 """
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, conv_transpose_nd, gradcheck
+from repro.autograd import (
+    Tensor, conv_nd, conv_transpose_nd, flip, gradcheck, moveaxis, pad,
+    zero_stuff,
+)
 from repro.backend.conv_plan import (
-    ConvTransposePlan, IM2COL_MAX_PATCH_BYTES, clear_plan_cache,
-    get_conv_transpose_mode, plan_conv_transpose, set_conv_transpose_mode,
+    ConvTransposePlan, clear_plan_cache, plan_conv_transpose,
 )
 
 
-@pytest.fixture(autouse=True)
-def _scatter_after():
-    yield
-    set_conv_transpose_mode("scatter")
+def composed_conv_transpose(x, w, b, stride, padding, output_padding):
+    """Reference transposed conv: conv of the zero-stuffed, padded input
+    with the flipped, channel-transposed kernel."""
+    nd = x.ndim - 2
+    kernel = w.shape[2:]
+    stride, padding, output_padding = (
+        (v,) * nd for v in (stride, padding, output_padding))
+    xz = zero_stuff(x, stride) if any(s > 1 for s in stride) else x
+    padw = [(0, 0), (0, 0)] + [
+        (k - 1 - p, k - 1 - p + op)
+        for k, p, op in zip(kernel, padding, output_padding)]
+    wt = moveaxis(flip(w, axis=tuple(range(2, 2 + nd))), 0, 1)
+    return conv_nd(pad(xz, padw), wt, b, stride=1, padding=0)
 
 
-def _both_modes(x, w, b, st, p, op):
+def _both_paths(x, w, b, st, p, op):
     results = {}
-    for mode in ("scatter", "compose"):
-        set_conv_transpose_mode(mode)
+    for name, fn in (("scatter", conv_transpose_nd),
+                     ("compose", composed_conv_transpose)):
         xt = Tensor(x.copy(), requires_grad=True)
         wt = Tensor(w.copy(), requires_grad=True)
         bt = Tensor(b.copy(), requires_grad=True) if b is not None else None
-        y = conv_transpose_nd(xt, wt, bt, stride=st, padding=p,
-                              output_padding=op)
+        y = fn(xt, wt, bt, st, p, op)
         (y * y).sum().backward()
-        results[mode] = (y.numpy(), xt.grad.copy(), wt.grad.copy(),
+        results[name] = (y.numpy(), xt.grad.copy(), wt.grad.copy(),
                          bt.grad.copy() if bt is not None else None)
     return results
 
@@ -59,7 +70,7 @@ class TestScatterParity:
         x = rng.standard_normal((N, ci) + (S,) * nd)
         w = rng.standard_normal((ci, co) + (k,) * nd)
         b = rng.standard_normal(co) if bias else None
-        res = _both_modes(x, w, b, st, p, op)
+        res = _both_paths(x, w, b, st, p, op)
         for name, s_val, c_val in zip(("y", "dx", "dw", "db"),
                                       res["scatter"], res["compose"]):
             if s_val is None:
@@ -76,13 +87,13 @@ class TestScatterParity:
         x = rng.standard_normal((2, 3, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
         clear_plan_cache()
-        gemm = _both_modes(x, w, None, 2, 1, 1)["scatter"]
+        gemm = _both_paths(x, w, None, 2, 1, 1)["scatter"]
         monkeypatch.setattr(cp, "IM2COL_MAX_PATCH_BYTES", 1)
         clear_plan_cache()
         plan = plan_conv_transpose(x.shape, w.shape, (2, 2), (1, 1), (1, 1),
                                    x.dtype)
         assert plan.path == "tap"
-        tap = _both_modes(x, w, None, 2, 1, 1)["scatter"]
+        tap = _both_paths(x, w, None, 2, 1, 1)["scatter"]
         clear_plan_cache()
         for g, t in zip(gemm[:3], tap[:3]):
             np.testing.assert_allclose(g, t, atol=1e-10, rtol=1e-10)
@@ -90,7 +101,6 @@ class TestScatterParity:
 
 class TestScatterGradcheck:
     def test_gradcheck_strided_padded(self):
-        set_conv_transpose_mode("scatter")
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((2, 2, 5, 5)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 3, 3, 3)), requires_grad=True)
@@ -99,7 +109,6 @@ class TestScatterGradcheck:
             x, w, b, stride=2, padding=1, output_padding=1), (x, w, b))
 
     def test_gradcheck_3d(self):
-        set_conv_transpose_mode("scatter")
         rng = np.random.default_rng(2)
         x = Tensor(rng.standard_normal((1, 2, 3, 3, 3)), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 2, 2, 2, 2)), requires_grad=True)
@@ -117,11 +126,3 @@ class TestPlanning:
         assert isinstance(p1, ConvTransposePlan)
         assert p1.path == "gemm"
         assert p1.reason
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            set_conv_transpose_mode("bogus")
-        assert get_conv_transpose_mode() in ("scatter", "compose")
-
-    def test_env_default_is_scatter(self):
-        assert get_conv_transpose_mode() == "scatter"

@@ -8,6 +8,11 @@ import pytest
 from repro.autograd import Tensor
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: long-running end-to-end test")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -4,9 +4,8 @@ The contract under test, at each layer of the stack:
 
 * tiling — :func:`stream_tiled_predict` yields ``(tile_index,
   core_slices, core)`` records whose assembly is *bitwise* equal to
-  :func:`tiled_predict`, whatever the executor, tile raggedness or
-  backend; tile indices are deterministic even when completion order
-  is not.
+  :func:`tiled_predict`, whatever the executor or tile raggedness;
+  tile indices are deterministic even when completion order is not.
 * server — ``submit_stream`` routes records through the existing
   priority/deadline/backpressure machinery: per-tile deadline checks
   (a dead stream carries ``tiles_delivered``), cache hits stream from
@@ -26,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro import MGDiffNet, PoissonProblem2D, PoissonProblem3D
-from repro.backend import set_backend
 from repro.core.inference import predict_batch
 from repro.serve import (
     AsyncPredictionServer, DeadlineExceeded, FleetConfig, ModelRegistry,
@@ -133,18 +131,6 @@ class TestStreamTiling:
         with pytest.raises(ValueError, match="tile"):
             list(stream_tiled_predict(model, problem, omegas, tile=8,
                                       tiles=[0, 99]))
-
-    def test_lazy_backend_parity_bitwise(self, small2d):
-        problem, model, omegas, _ = small2d
-        set_backend("lazy")
-        try:
-            ref = tiled_predict(model, problem, omegas, tile=8)
-            got, _ = _assemble(
-                stream_tiled_predict(model, problem, omegas, tile=8),
-                (16, 16), 2)
-        finally:
-            set_backend("numpy")
-        np.testing.assert_array_equal(got, ref)
 
     def test_early_close_restores_train_mode(self, small2d):
         problem, model, omegas, _ = small2d
