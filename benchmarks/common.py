@@ -84,7 +84,7 @@ def add_backend_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser
         help="default floating dtype for tensors built from Python data")
     parser.add_argument(
         "--conv-plan", default=None,
-        choices=["auto", "im2col", "tensordot", "autotune"],
+        choices=["auto", "flat", "tensordot", "autotune"],
         help="force a conv execution path (default: planner decides; "
              "'autotune' times both engines and persists the winner)")
     parser.add_argument(

@@ -50,11 +50,14 @@ class no_grad:
 class Context:
     """Scratch space a Function uses to stash values for backward."""
 
-    __slots__ = ("saved", "meta")
+    __slots__ = ("saved", "meta", "needs_input_grad")
 
     def __init__(self) -> None:
         self.saved: tuple = ()
         self.meta: dict[str, Any] = {}
+        # One bool per positional argument of ``forward``: whether the
+        # graph wants a gradient for it (set by ``Function.apply``).
+        self.needs_input_grad: tuple[bool, ...] = ()
 
     def save_for_backward(self, *arrays: Any) -> None:
         self.saved = arrays
@@ -73,7 +76,9 @@ class Function:
 
     ``backward`` must return one gradient (or ``None``) per positional
     argument of ``forward``, in order.  Non-tensor positional arguments
-    receive ``None``.
+    receive ``None``.  ``ctx.needs_input_grad`` says which inputs want a
+    gradient at all, so ``backward`` may skip computing the others (the
+    ``backward_var`` idea of MyGrad's ``Operation``).
     """
 
     @staticmethod
@@ -89,12 +94,14 @@ class Function:
         from .tensor import Tensor
 
         ctx = Context()
+        grad_on = is_grad_enabled()
+        ctx.needs_input_grad = tuple(
+            grad_on and isinstance(a, Tensor) and a.requires_grad
+            for a in args)
         raw_args = tuple(a.data if isinstance(a, Tensor) else a for a in args)
         out_data = cls.forward(ctx, *raw_args, **kwargs)
 
-        requires = is_grad_enabled() and any(
-            isinstance(a, Tensor) and a.requires_grad for a in args
-        )
+        requires = any(ctx.needs_input_grad)
         out = Tensor(out_data, requires_grad=requires)
         if requires:
             out._ctx = ctx

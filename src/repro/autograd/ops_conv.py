@@ -2,12 +2,12 @@
 
 The convolution is dimension agnostic (the same code path serves the 2D
 and 3D MGDiffNet variants).  *How* each conv executes is decided by the
-planning engine in :mod:`repro.backend.conv_plan`: per-offset
-``tensordot`` contractions (O(input) peak memory — the property that lets
-the 3D U-Net run on modest hosts) or a single im2col/GEMM (fastest for
-the small-kernel/many-channel signatures of the U-Net trunk).  Plans are
-memoized per (shape, kernel, stride) signature, so steady-state training
-pays a dict lookup.
+planning engine in :mod:`repro.backend.conv_plan`: the flat-grid
+shifted-GEMM engine for every stride-1 conv, per-offset ``tensordot``
+contractions for strided ones; both keep peak scratch O(input + output).
+Plans are memoized per (shape, kernel, stride) signature, so
+steady-state training pays a dict lookup.  Backward passes compute only
+the gradients the graph asks for (``ctx.needs_input_grad``).
 
 Layouts follow the common deep-learning convention:
 
@@ -72,9 +72,9 @@ def conv_transpose_output_shape(spatial: Sequence[int], kernel: Sequence[int],
 class ConvNd(Function):
     """N-dimensional cross-correlation (the deep-learning 'convolution').
 
-    Execution strategy (tensordot vs im2col) is delegated to the memoized
-    conv planner; both paths are numerically equivalent and both are
-    exercised by the parity tests.
+    Execution strategy (flat grid vs tensordot) is delegated to the
+    memoized conv planner; both paths are numerically equivalent and both
+    are exercised by the parity tests.
     """
 
     @staticmethod
@@ -88,8 +88,12 @@ class ConvNd(Function):
             raise ValueError(f"weight C_in {w.shape[1]} != input C_in {cin}")
 
         if any(padding):
-            padw = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
-            xp = B.pad(x, padw)
+            # Zero frame plus one interior copy: far cheaper than np.pad.
+            spatial = x.shape[2:]
+            xp = B.zeros(x.shape[:2] + tuple(
+                s + 2 * p for s, p in zip(spatial, padding)), dtype=x.dtype)
+            xp[(slice(None), slice(None)) + tuple(
+                slice(p, p + s) for s, p in zip(spatial, padding))] = x
         else:
             xp = x
         out_spatial = conv_output_shape(xp.shape[2:], kernel, stride, (0,) * nd)
@@ -114,11 +118,12 @@ class ConvNd(Function):
         out_spatial = ctx.meta["out_spatial"]
         plan = ctx.meta["plan"]
         nd = len(kernel)
+        need_dx, need_dw = ctx.needs_input_grad[:2]
 
-        gmoved = B.moveaxis(grad, 1, -1)                     # (N, *So, Cout)
-        dxp, dw = run_conv_backward(plan, xp, w, gmoved, stride, out_spatial)
+        dxp, dw = run_conv_backward(plan, xp, w, grad, stride, out_spatial,
+                                    need_dx, need_dw)
         # Strip padding.
-        if any(padding):
+        if dxp is not None and any(padding):
             sl = (slice(None), slice(None)) + tuple(
                 slice(p, s - p if p else None)
                 for p, s in zip(padding, dxp.shape[2:]))
@@ -126,7 +131,7 @@ class ConvNd(Function):
         else:
             dx = dxp
         db = None
-        if ctx.meta["has_bias"]:
+        if ctx.meta["has_bias"] and ctx.needs_input_grad[2]:
             db = grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
         return dx, dw, db, None, None
 
@@ -166,9 +171,10 @@ class ConvTransposeNd(Function):
         x, w = ctx.saved
         plan = ctx.meta["plan"]
         nd = ctx.meta["nd"]
-        dx, dw = run_conv_transpose_backward(plan, x, w, grad)
+        dx, dw = run_conv_transpose_backward(plan, x, w, grad,
+                                             *ctx.needs_input_grad[:2])
         db = None
-        if ctx.meta["has_bias"]:
+        if ctx.meta["has_bias"] and ctx.needs_input_grad[2]:
             db = grad.sum(axis=(0,) + tuple(range(2, 2 + nd)))
         return dx, dw, db, None, None, None
 

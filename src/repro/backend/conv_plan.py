@@ -1,37 +1,36 @@
 """Planning conv engine: choose *how* to execute each convolution.
 
-The N-d convolution dominates every epoch (``bench_fig2_epoch_time``),
-and the best execution strategy depends on the (shape, kernel, stride)
-signature:
+Two engines, chosen per (shape, kernel, stride) signature:
 
-* **per-offset tensordot** — ``k^d`` GEMMs of shape ``(N*So, Cin) @
-  (Cin, Cout)``; peak memory stays O(input).  Wins for big kernels, tiny
-  channel counts and megavoxel fields where the patch matrix would not
-  fit.
-* **im2col/GEMM** — one patch-matrix copy followed by a single
-  ``(N*So, Cin*k^d) @ (Cin*k^d, Cout)`` GEMM.  Wins for the small-kernel
-  /many-channel signatures of the U-Net trunk, where ``k^d`` separate
-  thin GEMMs leave BLAS underfed.
+* **flat grid** — every stride-1 conv.  The padded input is flattened to
+  ``(N, Cin, P)``, so kernel tap ``t`` is a fixed shift ``s_t`` of the
+  flat index and its operand ``xf[:, :, s_t:s_t + L]`` is a contiguous
+  view.  Forward (``out += W_t @ x_shift``), dW (``dW_t = sum_n g_flat @
+  x_shift^T``) and dX (``dx[:, :, s_t:s_t + L] += W_t^T @ g_flat``) are
+  plain ``matmul`` calls in the channels-first layout: no patch matrix,
+  no transposition, scratch O(input + output).  Positions that wrap
+  around the trailing padded axes are computed and cropped away
+  (``Hp*Wp / (H*W)``, 1.13x at 32^3).  Every stage works one cache-sized
+  block of ``FLAT_BLOCK_COLS`` flat columns at a time.  Staging: per-tap
+  GEMMs when ``Cin * taps`` is wide; tap-stacked (im2col on the flat
+  grid, contiguous row copies into one pooled block) when it is narrow —
+  the single-channel input conv, the FEM stencils — or the problem tiny.
+* **per-offset tensordot** — strided convs (``2^d``/s2 downsampling, the
+  data gradient of a strided transposed conv), O(input) peak memory.
 
-``plan_conv`` maps a :class:`ConvSignature` to a :class:`ConvPlan` once
-and memoizes it, so the per-call planning cost in the training loop is a
-dict lookup.  The im2col scratch (the one large short-lived buffer) comes
-from the active backend's :class:`~repro.backend.pool.BufferPool`.
+Both return C-contiguous outputs.  Plans are memoized per signature, so
+the training loop pays a dict lookup.  ``REPRO_CONV_PLAN`` (or
+:func:`set_conv_plan_mode`) forces ``flat`` / ``tensordot`` on the
+stride-1 convs — the parity tests drive both engines that way.
 
-``REPRO_CONV_PLAN`` (or :func:`set_conv_plan_mode`) forces ``im2col`` /
-``tensordot`` globally — used by the parity tests to drive both engines
-over identical inputs.
-
-**Measured autotuning** (mode ``autotune``): the heuristic thresholds
-above encode one host's cache sizes and BLAS behaviour.  In autotune mode
-the planner instead *times both engines* on first sight of a signature
-(synthetic data of exactly that shape, warm-up plus best-of-N) and locks
-in the measured winner.  Decisions are persisted to a JSON table keyed by
-a host fingerprint (``REPRO_AUTOTUNE_CACHE`` or
-``~/.cache/repro/conv_autotune.json``), so a server restart — or the next
-training run — skips re-timing entirely.  Signatures too large to time
-safely fall back to the heuristic and are recorded as such, so they are
-not re-examined either.
+**Measured autotuning** (mode ``autotune``) times both engines on first
+sight of a stride-1 signature (warm-up plus best-of-N, forward and
+backward separately) and persists the winners in a JSON table keyed by
+host fingerprint (``REPRO_AUTOTUNE_CACHE`` or
+``~/.cache/repro/conv_autotune.json``), so restarts skip re-timing.
+Strided, 1x1 and too-large signatures keep the heuristic, recorded so
+they are not re-examined.  A record that names a removed engine or
+lacks a live engine's timing reads as a miss and is measured again.
 """
 
 from __future__ import annotations
@@ -39,12 +38,14 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
+import timeit
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .registry import get_backend, ops as B
 from .tuning import MeasurementCache, host_fingerprint
@@ -59,16 +60,14 @@ __all__ = [
     "autotune_table", "clear_autotune_table", "save_autotune_table",
 ]
 
-# Heuristic thresholds (see _decide): taps = prod(kernel).
-IM2COL_MAX_TAPS = 64            # above: too many offsets, patch blows up
-IM2COL_MIN_GEMM_COLS = 16       # below: Cin*taps GEMM too thin to pay for the copy
-IM2COL_THIN_GEMM_COLS = 32      # at/below: per-offset GEMMs are so thin that
-#                                 im2col wins even for non-resident patches
-IM2COL_CACHE_PATCH_BYTES = 384 << 10  # patch must stay cache-resident (384 KiB)
-#                                     unless the thin-GEMM rescue applies
-IM2COL_MAX_PATCH_BYTES = 1 << 28    # 256 MiB absolute patch-matrix ceiling
+FLAT_STACK_MAX_ROWS = 32        # Cin*taps at/below: tap-stacked blocks
+FLAT_STACK_MAX_BYTES = 1 << 20  # whole stacked matrix at/below: same
+FLAT_BLOCK_COLS = 4096          # flat columns per block, every stage
+TAP_TENSOR_MAX_BYTES = 1 << 28  # 256 MiB ceiling on a transposed conv's
+#                                 full tap tensor (plan_conv_transpose)
 
-_VALID_MODES = ("auto", "im2col", "tensordot", "autotune")
+_ENGINES = ("flat", "tensordot")
+_VALID_MODES = ("auto", "autotune") + _ENGINES
 _mode = os.environ.get("REPRO_CONV_PLAN", "auto")
 if _mode not in _VALID_MODES:  # pragma: no cover - env misconfiguration
     _mode = "auto"
@@ -80,7 +79,8 @@ _cache_misses = 0
 
 
 def set_conv_plan_mode(mode: str) -> None:
-    """Force a conv path globally: 'auto' (default), 'im2col', 'tensordot'."""
+    """Force a conv path globally: 'auto' (default), 'flat', 'tensordot'
+    or 'autotune'."""
     global _mode
     if mode not in _VALID_MODES:
         raise ValueError(f"mode must be one of {_VALID_MODES}, got {mode!r}")
@@ -104,7 +104,6 @@ def plan_cache_info() -> dict[str, int]:
                 "size": len(_PLAN_CACHE)}
 
 
-# --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ConvSignature:
     """Everything the planner needs to know about one conv call."""
@@ -132,111 +131,98 @@ class ConvSignature:
         return tuple((s - k) // st + 1 for s, k, st in
                      zip(self.padded_spatial, self.kernel, self.stride))
 
-    @property
-    def patch_bytes(self) -> int:
-        n, cin = self.x_shape[0], self.w_shape[1]
-        itemsize = np.dtype(self.dtype).itemsize
-        return n * math.prod(self.out_spatial) * cin * self.taps * itemsize
-
 
 @dataclass(frozen=True)
 class ConvPlan:
     """A memoized execution decision for one conv signature.
 
     ``path`` drives the forward pass.  ``backward_path`` may differ: the
-    autotuner times the two directions separately (the backward's
-    col2im scatter and dW contraction have their own crossover points);
-    heuristic and forced modes keep both directions on one engine.
+    autotuner times the two directions separately; heuristic and forced
+    modes keep both directions on one engine.  ``layout`` is the flat
+    geometry and staging of a stride-1 signature (None when strided).
     """
 
     signature: ConvSignature
-    path: str                     # 'im2col' | 'tensordot'
+    path: str                     # 'flat' | 'tensordot'
     reason: str
     backward_path: str | None = None  # None: same engine as forward
+    layout: "_FlatLayout | None" = None
+
+
+class _FlatLayout(NamedTuple):
+    strides: tuple[int, ...]   # flat strides of the padded grid
+    shifts: tuple[int, ...]    # flat shift of every kernel tap
+    length: int                # L: one past the last valid output
+    stacked: bool              # staging: tap-stacked blocks vs per tap
+
+
+def _flat_layout(sig: ConvSignature) -> _FlatLayout | None:
+    """Flat-grid geometry of a stride-1 signature, and the staging rule:
+    stack the taps into one GEMM when ``Cin * taps`` is too narrow to
+    feed per-tap GEMMs, or when the whole stacked matrix is so small
+    that per-tap call overhead would dominate."""
+    if any(st != 1 for st in sig.stride):
+        return None
+    (n, cin), padded, kernel = sig.x_shape[:2], sig.padded_spatial, sig.kernel
+    strides = tuple(math.prod(padded[d + 1:]) for d in range(len(padded)))
+    shifts = tuple(sum(o * s for o, s in zip(offset, strides))
+                   for offset in _offsets(kernel))
+    length = 1 + sum((p - k) * s for p, k, s in zip(padded, kernel, strides))
+    rows = cin * sig.taps
+    stacked = sig.taps > 1 and (
+        rows <= FLAT_STACK_MAX_ROWS or n * rows * length
+        * np.dtype(sig.dtype).itemsize <= FLAT_STACK_MAX_BYTES)
+    return _FlatLayout(strides, shifts, length, stacked)
 
 
 def _decide(sig: ConvSignature, mode: str) -> tuple[str, str]:
-    if mode != "auto":
+    layout = _flat_layout(sig)
+    if layout is None:
+        return "tensordot", f"stride {sig.stride}: per-offset tensordot"
+    if mode in _ENGINES:
         return mode, f"forced by mode={mode!r}"
-    taps = sig.taps
-    cin = sig.w_shape[1]
-    if taps == 1:
-        return "tensordot", "1x1 kernel is already a single GEMM"
-    if taps > IM2COL_MAX_TAPS:
-        return "tensordot", f"kernel taps {taps} > {IM2COL_MAX_TAPS}"
-    if cin * taps < IM2COL_MIN_GEMM_COLS:
-        return "tensordot", (
-            f"GEMM width Cin*taps={cin * taps} < {IM2COL_MIN_GEMM_COLS}")
-    if sig.patch_bytes > IM2COL_MAX_PATCH_BYTES:
-        return "tensordot", (
-            f"patch matrix {sig.patch_bytes >> 20} MiB exceeds ceiling")
-    if (sig.patch_bytes > IM2COL_CACHE_PATCH_BYTES
-            and cin * taps > IM2COL_THIN_GEMM_COLS):
-        # The patch copy leaves cache and the per-offset GEMMs are wide
-        # enough to feed BLAS — the copy would be pure overhead.
-        return "tensordot", (
-            f"patch matrix {sig.patch_bytes >> 10} KiB not cache-resident "
-            f"and GEMM width {cin * taps} is BLAS-friendly")
-    return "im2col", (
-        f"small kernel ({taps} taps), GEMM width {cin * taps}, "
-        f"patch {sig.patch_bytes >> 10} KiB")
+    return "flat", ("stride 1: " + ("tap-stacked" if layout.stacked
+                                    else "per-tap") + " flat grid")
 
 
-# --------------------------------------------------------------------- #
-# Measured autotuning: time both engines once per signature, persist the
-# winner keyed by host fingerprint.
-# --------------------------------------------------------------------- #
+# ---- measured autotuning: time both engines once per stride-1
+# signature, persist the winners keyed by host fingerprint.
 
 AUTOTUNE_REPEATS = 3                  # best-of-N timing per engine
 AUTOTUNE_MAX_BYTES = 1 << 27          # skip timing above 128 MiB of input:
-#                                       a single probe would thrash memory,
-#                                       and the heuristic is reliable there
+#                                       a single probe would thrash memory
+_TIME_KEYS = frozenset(f"{d}_{e}" for d in ("fwd", "bwd") for e in _ENGINES)
 
-_MEASURE_LOCK = threading.Lock()      # serializes engine timing only:
-#                                       concurrent probes would perturb
-#                                       each other's measurements, but
-#                                       table lookups for already-known
-#                                       signatures must never wait on a
-#                                       seconds-long timing run
+# Serializes engine timing only: concurrent probes would perturb each
+# other, but lookups of known signatures must never wait on a probe.
+_MEASURE_LOCK = threading.Lock()
 
-# The persisted measured-decision table: host-fingerprinted JSON managed
-# by the shared autotuner seam (repro.backend.tuning).  Memoized plans
-# may reference stale decisions when the table moves, hence the
-# invalidation hook.
+
+def _is_current(rec: dict) -> bool:
+    """A persisted record is usable when it names only live engines and,
+    if measured, carries a timing for every one of them."""
+    paths = {rec.get("path"), rec.get("backward_path") or rec.get("path")}
+    return paths <= set(_ENGINES) and (
+        not rec.get("measured") or _TIME_KEYS <= set(rec.get("times", ())))
+
+
+# The persisted table lives in the shared autotuner seam
+# (repro.backend.tuning); memoized plans follow it when it moves.
 _MEASUREMENTS = MeasurementCache(
     default_path=Path.home() / ".cache" / "repro" / "conv_autotune.json",
     env_var="REPRO_AUTOTUNE_CACHE",
-    on_invalidate=lambda: clear_plan_cache())
+    on_invalidate=lambda: clear_plan_cache(),
+    is_current=_is_current)
 
 
-def autotune_cache_path() -> Path:
-    """Where the measured decision table lives on disk."""
-    return _MEASUREMENTS.path()
-
-
-def set_autotune_cache_path(path: str | os.PathLike | None) -> None:
-    """Override the persisted-table location (None restores the default)."""
-    _MEASUREMENTS.set_path(path)
-
-
-def save_autotune_table() -> Path | None:
-    """Persist pending measured decisions (atomic write); returns the
-    path written, or None when nothing changed."""
-    return _MEASUREMENTS.save()
-
-
-def autotune_table() -> dict[str, dict]:
-    """Snapshot of this host's measured decisions (sig key -> record)."""
-    return _MEASUREMENTS.snapshot()
-
-
-def clear_autotune_table(memory_only: bool = False) -> None:
-    """Drop the in-memory table (and, unless ``memory_only``, the file).
-
-    ``memory_only=True`` simulates a process restart: the next autotuned
-    plan reloads the persisted table from disk.
-    """
-    _MEASUREMENTS.clear(memory_only=memory_only)
+# The public table API: where it lives, moving it (None restores the
+# default), persisting pending decisions, a snapshot of this host's
+# records, and dropping them (``memory_only=True`` simulates a restart).
+autotune_cache_path = _MEASUREMENTS.path
+set_autotune_cache_path = _MEASUREMENTS.set_path
+save_autotune_table = _MEASUREMENTS.save
+autotune_table = _MEASUREMENTS.snapshot
+clear_autotune_table = _MEASUREMENTS.clear
 
 
 def _sig_key(sig: ConvSignature) -> str:
@@ -245,69 +231,46 @@ def _sig_key(sig: ConvSignature) -> str:
 
 
 def _time_engines(sig: ConvSignature) -> dict[str, float]:
-    """Best-of-N wall times of both engines, both directions.
-
-    Forward and backward are timed separately because the plan serves
-    both: a forward win (e.g. im2col's single fat GEMM) can coexist with
-    a backward loss (its col2im scatter), and training epochs are
-    backward-heavy while serving never runs one.
-    """
+    """Best-of-N wall times of both engines, forward and backward apart:
+    training is backward-heavy while serving never runs one."""
     rng = np.random.default_rng(0)
-    dtype = np.dtype(sig.dtype)
-    n, cin = sig.x_shape[:2]
-    cout = sig.w_shape[0]
-    xp = rng.standard_normal((n, cin) + sig.padded_spatial).astype(dtype)
-    w = rng.standard_normal(sig.w_shape).astype(dtype)
-    out_spatial = sig.out_spatial
-    gmoved = rng.standard_normal((n,) + out_spatial + (cout,)).astype(dtype)
-
-    def best(run) -> float:
-        run()                                           # warm-up
-        t = math.inf
-        for _ in range(AUTOTUNE_REPEATS):
-            t0 = time.perf_counter()
-            run()
-            t = min(t, time.perf_counter() - t0)
-        return t
-
-    return {
-        "fwd_tensordot": best(
-            lambda: _forward_tensordot(xp, w, sig.stride, out_spatial)),
-        "fwd_im2col": best(
-            lambda: _forward_im2col(xp, w, sig.stride, out_spatial)),
-        "bwd_tensordot": best(
-            lambda: _backward_tensordot(xp, w, gmoved, sig.stride,
-                                        out_spatial)),
-        "bwd_im2col": best(
-            lambda: _backward_im2col(xp, w, gmoved, sig.stride,
-                                     out_spatial)),
-    }
+    xp, w, grad = (rng.standard_normal(shape).astype(sig.dtype) for shape in (
+        sig.x_shape[:2] + sig.padded_spatial, sig.w_shape,
+        (sig.x_shape[0], sig.w_shape[0]) + sig.out_spatial))
+    times = {}
+    for engine in _ENGINES:
+        plan = ConvPlan(sig, engine, "autotune probe", None, _flat_layout(sig))
+        for direction, run in (
+                ("fwd", lambda: run_conv_forward(
+                    plan, xp, w, sig.stride, sig.out_spatial)),
+                ("bwd", lambda: run_conv_backward(
+                    plan, xp, w, grad, sig.stride, sig.out_spatial))):
+            run()                                           # warm-up
+            times[f"{direction}_{engine}"] = min(timeit.repeat(
+                run, repeat=AUTOTUNE_REPEATS, number=1))
+    return times
 
 
 def _decide_autotune(sig: ConvSignature) -> tuple[str, str, str | None]:
     key = _sig_key(sig)
-    rec = _MEASUREMENTS.get(key)
-    if rec is None:
-        rec = _measure_signature(sig, key)
-    if rec.get("measured"):
-        t = rec["times"]
-        reason = (
-            f"autotuned: fwd td {t['fwd_tensordot'] * 1e3:.2f} / i2c "
-            f"{t['fwd_im2col'] * 1e3:.2f} ms, bwd td "
-            f"{t['bwd_tensordot'] * 1e3:.2f} / i2c "
-            f"{t['bwd_im2col'] * 1e3:.2f} ms")
-        return rec["path"], reason, rec.get("backward_path")
-    return rec["path"], f"autotune fallback: {rec['reason']}", None
+    rec = _MEASUREMENTS.get(key) or _measure_signature(sig, key)
+    if not rec.get("measured"):
+        return rec["path"], f"autotune fallback: {rec['reason']}", None
+    t = {k: f"{v * 1e3:.2f}" for k, v in rec["times"].items()}
+    return rec["path"], (
+        f"autotuned: fwd flat {t['fwd_flat']} / td {t['fwd_tensordot']} ms, "
+        f"bwd flat {t['bwd_flat']} / td {t['bwd_tensordot']} ms"
+    ), rec.get("backward_path")
 
 
 def _measure_signature(sig: ConvSignature, key: str) -> dict:
     heuristic_path, heuristic_reason = _decide(sig, "auto")
     input_bytes = (math.prod(sig.x_shape[:2]) * math.prod(sig.padded_spatial)
                    * np.dtype(sig.dtype).itemsize)
-    if sig.taps == 1 or input_bytes > AUTOTUNE_MAX_BYTES \
-            or sig.patch_bytes > IM2COL_MAX_PATCH_BYTES:
-        # Not worth (or not safe) to probe: trust the heuristic, but
-        # record the decision so restarts skip this signature too.
+    if (heuristic_path != "flat" or sig.taps == 1
+            or input_bytes > AUTOTUNE_MAX_BYTES):
+        # Nothing to choose (strided, 1x1) or not safe to probe: trust
+        # the heuristic, but record it so restarts skip this signature.
         return _MEASUREMENTS.setdefault(
             key, {"path": heuristic_path, "measured": False,
                   "reason": heuristic_reason})
@@ -319,190 +282,264 @@ def _measure_signature(sig: ConvSignature, key: str) -> dict:
             return existing
         times = _time_engines(sig)
     return _MEASUREMENTS.setdefault(key, {
-        "path": ("im2col" if times["fwd_im2col"]
-                 < times["fwd_tensordot"] else "tensordot"),
-        "backward_path": ("im2col" if times["bwd_im2col"]
-                          < times["bwd_tensordot"]
-                          else "tensordot"),
-        "measured": True, "times": times,
-        "heuristic": heuristic_path,
-    })
+        "path": min(_ENGINES, key=lambda e: times[f"fwd_{e}"]),
+        "backward_path": min(_ENGINES, key=lambda e: times[f"bwd_{e}"]),
+        "measured": True, "times": times, "heuristic": heuristic_path})
 
 
-def plan_conv(x_shape, w_shape, stride, padding, dtype) -> ConvPlan:
-    """Return the (memoized) execution plan for a conv signature."""
+def _cached(key, build):
+    """Memoize ``build()`` under ``key`` in the shared plan cache."""
     global _cache_hits, _cache_misses
-    sig = ConvSignature(tuple(x_shape), tuple(w_shape), tuple(stride),
-                        tuple(padding), np.dtype(dtype).str)
-    mode = _mode
-    key = (sig, mode)
     with _CACHE_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is not None:
             _cache_hits += 1
             return plan
         _cache_misses += 1
-    backward_path = None
-    if mode == "autotune":
-        path, reason, backward_path = _decide_autotune(sig)
-    else:
-        path, reason = _decide(sig, mode)
-    plan = ConvPlan(signature=sig, path=path, reason=reason,
-                    backward_path=backward_path)
+    plan = build()
     with _CACHE_LOCK:
         _PLAN_CACHE[key] = plan
     return plan
 
 
-# --------------------------------------------------------------------- #
-# Execution engines.  ``xp`` is the already-padded input (N, Cin, *Sp);
-# both engines return the channels-first output (N, Cout, *So) and must
-# agree numerically (asserted by the parity tests).
-# --------------------------------------------------------------------- #
+def plan_conv(x_shape, w_shape, stride, padding, dtype) -> ConvPlan:
+    """Return the (memoized) execution plan for a conv signature."""
+    sig = ConvSignature(tuple(x_shape), tuple(w_shape), tuple(stride),
+                        tuple(padding), np.dtype(dtype).str)
+    mode = _mode
 
-def _offset_slices(offset, out_spatial, stride):
-    return tuple(slice(o, o + (so - 1) * st + 1, st)
-                 for o, so, st in zip(offset, out_spatial, stride))
+    def build() -> ConvPlan:
+        if mode == "autotune":
+            path, reason, backward_path = _decide_autotune(sig)
+        else:
+            (path, reason), backward_path = _decide(sig, mode), None
+        return ConvPlan(sig, path, reason, backward_path, _flat_layout(sig))
 
-
-def _forward_tensordot(xp, w, stride, out_spatial):
-    n = xp.shape[0]
-    cout = w.shape[0]
-    kernel = w.shape[2:]
-    # Accumulate in channels-last layout so each offset is one GEMM.
-    acc = B.zeros((n, *out_spatial, cout), dtype=xp.dtype)
-    for offset in product(*(range(k) for k in kernel)):
-        sl = _offset_slices(offset, out_spatial, stride)
-        xs = xp[(slice(None), slice(None)) + sl]        # (N, Cin, *So)
-        wo = w[(slice(None), slice(None)) + offset]      # (Cout, Cin)
-        acc += B.tensordot(xs, wo, axes=([1], [1]))      # (N, *So, Cout)
-    return B.moveaxis(acc, -1, 1)
+    return _cached((sig, mode), build)
 
 
-def _strided_windows(xp, kernel, stride, nd):
-    """Strided window view (N, Cin, *So, *K) of the padded input."""
-    win = B.sliding_window_view(xp, kernel, axis=tuple(range(2, 2 + nd)))
-    if any(st > 1 for st in stride):
-        win = win[(slice(None), slice(None))
-                  + tuple(slice(None, None, st) for st in stride)]
-    return win
+# ---- execution: ``xp`` is the padded input (N, Cin, *Sp); both engines
+# return the C-contiguous output (N, Cout, *So) and agree numerically.
 
-
-def _forward_im2col(xp, w, stride, out_spatial):
-    nd = xp.ndim - 2
-    n, cin = xp.shape[:2]
-    cout = w.shape[0]
-    kernel = w.shape[2:]
-    taps = math.prod(kernel)
-    win = _strided_windows(xp, kernel, stride, nd)
-    # (N, *So, Cin, *K): one contiguous copy into a pooled patch matrix.
-    perm = (0,) + tuple(range(2, 2 + nd)) + (1,) + tuple(range(2 + nd, 2 + 2 * nd))
-    patches = win.transpose(perm)
-    rows = n * math.prod(out_spatial)
-    cols = cin * taps
-    pool = get_backend().pool
-    mat = pool.acquire((rows, cols), xp.dtype)
-    B.copyto(mat.reshape(patches.shape), patches)
-    out = B.matmul(mat, w.reshape(cout, cols).T)         # (rows, Cout)
-    pool.release(mat)
-    return B.moveaxis(out.reshape((n,) + tuple(out_spatial) + (cout,)), -1, 1)
+def _engine(path: str) -> str:
+    if path in _ENGINES:
+        return path
+    raise ValueError(
+        f"unknown conv engine {path!r}; expected one of {_ENGINES}")
 
 
 def run_conv_forward(plan: ConvPlan, xp, w, stride, out_spatial):
     """Execute the planned forward pass on a padded input."""
-    if plan.path == "im2col":
-        return _forward_im2col(xp, w, stride, out_spatial)
+    if _engine(plan.path) == "flat":
+        return _forward_flat(xp, w, out_spatial, plan.layout)
     return _forward_tensordot(xp, w, stride, out_spatial)
 
 
-# --------------------------------------------------------------------- #
-def _backward_tensordot(xp, w, gmoved, stride, out_spatial):
+def run_conv_backward(plan: ConvPlan, xp, w, grad, stride, out_spatial,
+                      need_dx: bool = True, need_dw: bool = True):
+    """Execute the planned backward pass for the channels-first output
+    gradient; returns ``(dxp, dw)``, ``None`` for a gradient not needed."""
+    if _engine(plan.backward_path or plan.path) == "flat":
+        return _backward_flat(xp, w, grad, out_spatial, plan.layout,
+                              need_dx, need_dw)
+    return _backward_tensordot(xp, w, grad, stride, out_spatial,
+                               need_dx, need_dw)
+
+
+# ---- per-offset tensordot (strided convs) --------------------------- #
+
+def _offsets(kernel):
+    return product(*(range(k) for k in kernel))
+
+
+def _offset_slices(offset, spatial, stride):
+    """(N, C, ...) index of the ``spatial`` points one kernel tap touches:
+    start ``offset``, step ``stride``."""
+    return (slice(None), slice(None)) + tuple(
+        slice(o, o + (s - 1) * st + 1, st)
+        for o, s, st in zip(offset, spatial, stride))
+
+
+def _forward_tensordot(xp, w, stride, out_spatial):
+    # Accumulate in channels-last layout so each offset is one GEMM.
+    acc = B.zeros((xp.shape[0], *out_spatial, w.shape[0]),
+                  dtype=np.result_type(xp, w))
+    for offset in _offsets(w.shape[2:]):
+        xs = xp[_offset_slices(offset, out_spatial, stride)]  # (N, Cin, *So)
+        acc += B.tensordot(xs, w[(Ellipsis,) + offset], axes=([1], [1]))
+    return B.ascontiguousarray(B.moveaxis(acc, -1, 1))
+
+
+def _backward_tensordot(xp, w, grad, stride, out_spatial, need_dx, need_dw):
     nd = len(out_spatial)
-    kernel = w.shape[2:]
-    dxp = B.zeros_like(xp)
-    dw = B.zeros_like(w)
-    contract_axes = [0] + list(range(1, 1 + nd))          # N + spatial of gmoved
-    xs_axes = [0] + list(range(2, 2 + nd))                # N + spatial of xs
-    for offset in product(*(range(k) for k in kernel)):
-        sl = _offset_slices(offset, out_spatial, stride)
-        idx = (slice(None), slice(None)) + sl
-        xs = xp[idx]
-        wo = w[(slice(None), slice(None)) + offset]
-        dw[(slice(None), slice(None)) + offset] = B.tensordot(
-            gmoved, xs, axes=(contract_axes, xs_axes))
-        dxs = B.tensordot(gmoved, wo, axes=([nd + 1], [0]))
-        dxp[idx] += B.moveaxis(dxs, -1, 1)
+    gmoved = B.moveaxis(grad, 1, -1)                     # (N, *So, Cout)
+    dxp = B.zeros_like(xp) if need_dx else None
+    dw = B.zeros_like(w) if need_dw else None
+    for offset in _offsets(w.shape[2:]):
+        idx = _offset_slices(offset, out_spatial, stride)
+        if need_dw:       # contract N and spatial of gmoved and the slice
+            dw[(Ellipsis,) + offset] = B.tensordot(gmoved, xp[idx], axes=(
+                [0, *range(1, 1 + nd)], [0, *range(2, 2 + nd)]))
+        if need_dx:
+            dxp[idx] += B.moveaxis(B.tensordot(
+                gmoved, w[(Ellipsis,) + offset], axes=([nd + 1], [0])), -1, 1)
     return dxp, dw
 
 
-def _backward_im2col(xp, w, gmoved, stride, out_spatial):
-    nd = len(out_spatial)
+# ---- flat grid (stride-1 convs) ------------------------------------- #
+
+def _blocks(length):
+    """``(j0, width)`` over cache-sized blocks of the flat columns."""
+    for j0 in range(0, length, FLAT_BLOCK_COLS):
+        yield j0, min(FLAT_BLOCK_COLS, length - j0)
+
+
+def _tap_blocks(xf, kernel, lay):
+    """Yield ``(j0, cols)`` per block: ``cols`` is the ``(N, Cin*taps,
+    width)`` im2col block of the flat grid, rows ordered ``(Cin, *K)``
+    like a reshaped weight.  Every row is a contiguous run of ``xf``, so
+    one strided copy fills the block.  The pooled buffer is reused: each
+    block must be consumed before the next is requested."""
+    n, cin = xf.shape[:2]
+    pool = get_backend().pool
+    buf = pool.acquire((n, cin * len(lay.shifts),
+                        min(FLAT_BLOCK_COLS, lay.length)), xf.dtype)
+    rows = buf.reshape((n, cin) + tuple(kernel) + buf.shape[-1:])
+    row_strides = xf.strides[:2] + tuple(
+        s * xf.itemsize for s in lay.strides) + (xf.itemsize,)
+    try:
+        for j0, width in _blocks(lay.length):
+            B.copyto(rows[..., :width], as_strided(
+                xf[:, :, j0:], rows.shape[:-1] + (width,), row_strides,
+                writeable=False))
+            yield j0, buf[:, :, :width]
+    finally:
+        pool.release(buf)
+
+
+def _tap_weights(w):
+    """(Cout, Cin, *K) -> contiguous (taps, Cout, Cin): one GEMM per tap."""
+    return B.ascontiguousarray(B.moveaxis(w.reshape(*w.shape[:2], -1), 2, 0))
+
+
+def _flat_grid(n, c, out_spatial, padded):
+    """Shape of a flat-grid result (the valid extent of the leading axis,
+    the padded extent of the others: >= L flat columns), the index of its
+    valid outputs, and whether any flat position wraps around."""
+    grid = (n, c, out_spatial[0]) + tuple(padded[1:])
+    valid = (slice(None),) * 3 + tuple(slice(0, so) for so in out_spatial[1:])
+    return grid, valid, grid[3:] != tuple(out_spatial[1:])
+
+
+def _forward_flat(xp, w, out_spatial, lay):
     n, cin = xp.shape[:2]
     cout = w.shape[0]
-    kernel = w.shape[2:]
-    taps = math.prod(kernel)
-    rows = n * math.prod(out_spatial)
-    cols = cin * taps
-    win = _strided_windows(xp, kernel, stride, nd)        # (N, Cin, *So, *K)
-
-    # dW in one contraction over batch+spatial — the im2col GEMM of the
-    # backward pass (tensordot materializes the patch matrix internally).
-    dw = B.tensordot(
-        gmoved, win,
-        axes=(tuple(range(0, 1 + nd)), (0,) + tuple(range(2, 2 + nd)))
-    ).reshape(w.shape)                                    # (Cout, Cin, *K)
-
-    # dX: one big GEMM into a pooled column buffer, then col2im scatter.
+    dtype = np.result_type(xp, w)
+    xf = B.ascontiguousarray(xp).reshape(n, cin, -1)
+    grid, valid, wraps = _flat_grid(n, cout, out_spatial, xp.shape[2:])
     pool = get_backend().pool
-    dcols = pool.acquire((rows, cols), xp.dtype)
-    B.matmul(gmoved.reshape(rows, cout), w.reshape(cout, cols), out=dcols)
-    dpat = B.moveaxis(
-        dcols.reshape((n,) + tuple(out_spatial) + (cin,) + tuple(kernel)),
-        1 + nd, 1)                                        # (N, Cin, *So, *K)
-    dxp = B.zeros_like(xp)
-    for offset in product(*(range(k) for k in kernel)):
-        sl = _offset_slices(offset, out_spatial, stride)
-        dxp[(slice(None), slice(None)) + sl] += dpat[
-            (slice(None), slice(None)) + (slice(None),) * nd + offset]
-    pool.release(dcols)
+    # Without wrap-around columns the flat result *is* the output.
+    buf = pool.acquire(grid, dtype) if wraps else B.empty(grid, dtype=dtype)
+    of = buf.reshape(n, cout, -1)
+    matmul = B.matmul
+    if lay.stacked:
+        wk = B.ascontiguousarray(w.reshape(cout, -1))
+        for j0, cols in _tap_blocks(xf, w.shape[2:], lay):
+            matmul(wk, cols, out=of[:, :, j0:j0 + cols.shape[-1]])
+    else:
+        wt = _tap_weights(w)
+        tmp = pool.acquire((n, cout, min(FLAT_BLOCK_COLS, lay.length)), dtype)
+        for j0, width in _blocks(lay.length):
+            acc, part = of[:, :, j0:j0 + width], tmp[:, :, :width]
+            matmul(wt[0], xf[:, :, j0:j0 + width], out=acc)  # shift 0
+            for t in range(1, len(lay.shifts)):
+                s = j0 + lay.shifts[t]
+                matmul(wt[t], xf[:, :, s:s + width], out=part)
+                acc += part
+        pool.release(tmp)
+    if not wraps:
+        return buf
+    out = B.ascontiguousarray(buf[valid])
+    pool.release(buf)
+    return out
+
+
+def _backward_flat(xp, w, grad, out_spatial, lay, need_dx, need_dw):
+    n, cout = grad.shape[:2]
+    grid, valid, wraps = _flat_grid(n, cout, out_spatial, xp.shape[2:])
+    pool = get_backend().pool
+    if wraps:   # lay the gradient out on the flat grid, zeros at wrap-around
+        buf = pool.zeros(grid, grad.dtype)
+        buf[valid] = grad
+    else:
+        buf = B.ascontiguousarray(grad)
+    gf = buf.reshape(n, cout, -1)[:, :, :lay.length]
+    dxp = _grad_input_flat(xp, w, gf, lay) if need_dx else None
+    dw = _grad_weight_flat(xp, w, gf, lay) if need_dw else None
+    if wraps:
+        pool.release(buf)
     return dxp, dw
 
 
-def run_conv_backward(plan: ConvPlan, xp, w, gmoved, stride, out_spatial):
-    """Execute the planned backward pass; returns ``(dxp, dw)``."""
-    path = plan.backward_path or plan.path
-    if path == "im2col":
-        return _backward_im2col(xp, w, gmoved, stride, out_spatial)
-    return _backward_tensordot(xp, w, gmoved, stride, out_spatial)
+def _grad_input_flat(xp, w, gf, lay):
+    n, cin = xp.shape[:2]
+    taps = len(lay.shifts)
+    dxf = B.zeros((n, cin, math.prod(xp.shape[2:])), dtype=xp.dtype)
+    if lay.stacked:   # one GEMM yields every tap's rows: (N, Cin, taps, w)
+        wt, rows = w.reshape(w.shape[0], -1).T, cin * taps
+    else:             # one GEMM per tap
+        wt, rows = B.swapaxes(_tap_weights(w), 1, 2), cin
+    pool = get_backend().pool
+    buf = pool.acquire((n, rows, min(FLAT_BLOCK_COLS, lay.length)), gf.dtype)
+    # Cout == 1 contracts nothing: an outer product, slow through matmul.
+    matmul = B.matmul if w.shape[0] > 1 else np.multiply
+    for j0, width in _blocks(lay.length):
+        g, part = gf[:, :, j0:j0 + width], buf[:, :, :width]
+        if lay.stacked:
+            matmul(wt, g, out=part)
+            per_tap = part.reshape(n, cin, taps, width)
+        for t, s in enumerate(lay.shifts):
+            if not lay.stacked:
+                matmul(wt[t], g, out=part)
+            dxf[:, :, j0 + s:j0 + s + width] += (
+                per_tap[:, :, t] if lay.stacked else part)
+    pool.release(buf)
+    return dxf.reshape(xp.shape)
 
 
-# --------------------------------------------------------------------- #
-# Transposed convolution: output-scatter GEMM plan.
-#
-# The composed path (zero-stuff by the stride, pad, flip, stride-1 conv)
-# materializes a zero-stuffed input ~stride^d times the original and
-# then convolves mostly-zero data.  The scatter plan skips it entirely:
-# contract input channels against the whole kernel once (or per tap),
-# then scatter-add each tap's contribution into the output at offset
-# slices of step ``stride`` — writes touch exactly the nonzero work.
-# ``tests/backend/test_conv_transpose_plan.py`` keeps the composed path
-# as the parity reference.
-# --------------------------------------------------------------------- #
+def _grad_weight_flat(xp, w, gf, lay):
+    n, cin = xp.shape[:2]
+    taps = len(lay.shifts)
+    xf = B.ascontiguousarray(xp).reshape(n, cin, -1)
+    matmul, swap = B.matmul, B.swapaxes
+    if lay.stacked:
+        dw = B.zeros((w.shape[0], cin * taps), dtype=w.dtype)
+        for j0, cols in _tap_blocks(xf, w.shape[2:], lay):
+            g = gf[:, :, j0:j0 + cols.shape[-1]]
+            dw += matmul(g, swap(cols, 1, 2)).sum(axis=0)
+        return dw.reshape(w.shape)
+    dw = B.zeros((w.shape[0], cin, taps), dtype=w.dtype)
+    for j0, width in _blocks(lay.length):
+        g = gf[:, :, j0:j0 + width]
+        for t, s in enumerate(lay.shifts):
+            xs = xf[:, :, j0 + s:j0 + s + width]
+            dw[:, :, t] += matmul(g, swap(xs, 1, 2)).sum(axis=0)
+    return dw.reshape(w.shape)
 
+
+# ---- transposed convolution: output-scatter GEMM plan.  Contract the
+# input channels against the kernel once (or per tap), then scatter-add
+# each tap into the output at offset slices of step ``stride``; no
+# zero-stuffed input (the composed path, the parity reference in
+# ``tests/backend/test_conv_transpose_plan.py``) ever exists.
 
 @dataclass(frozen=True)
 class ConvTransposePlan:
-    """Memoized execution decision for one conv-transpose signature.
-
-    ``path`` selects how the channel contraction is staged:
-
-    * ``'gemm'`` — one ``tensordot(x, w)`` over Cin producing the full
-      ``(N, *S, Cout, *K)`` tap tensor, then k^d scatter-adds.  Fastest
-      when the tap tensor fits comfortably in memory.
-    * ``'tap'``  — k^d thin per-tap GEMMs, O(input) peak memory; the
-      megavoxel-safe choice when the tap tensor would exceed the same
-      patch ceiling the im2col planner respects.
-    """
+    """Memoized conv-transpose decision.  ``path`` stages the channel
+    contraction: ``'gemm'`` — one ``tensordot(x, w)`` into the full
+    ``(N, *S, Cout, *K)`` tap tensor, then k^d scatter-adds; ``'tap'`` —
+    k^d per-tap GEMMs, O(input) memory, once the tap tensor would exceed
+    ``TAP_TENSOR_MAX_BYTES``."""
 
     x_shape: tuple[int, ...]
     w_shape: tuple[int, ...]
@@ -516,46 +553,19 @@ class ConvTransposePlan:
 def plan_conv_transpose(x_shape, w_shape, stride, padding, output_padding,
                         dtype) -> ConvTransposePlan:
     """Return the (memoized) scatter plan for a conv-transpose call."""
-    global _cache_hits, _cache_misses
-    key = ("convT", tuple(x_shape), tuple(w_shape), tuple(stride),
-           tuple(padding), tuple(output_padding), np.dtype(dtype).str)
-    with _CACHE_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _cache_hits += 1
-            return plan
-        _cache_misses += 1
-    n = x_shape[0]
-    cout = w_shape[1]
-    taps = math.prod(w_shape[2:])
-    tap_bytes = (n * math.prod(x_shape[2:]) * cout * taps
-                 * np.dtype(dtype).itemsize)
-    if tap_bytes > IM2COL_MAX_PATCH_BYTES:
-        path, reason = "tap", (
-            f"tap tensor {tap_bytes >> 20} MiB exceeds patch ceiling")
-    else:
-        path, reason = "gemm", (
-            f"tap tensor {tap_bytes >> 10} KiB, single contraction")
-    plan = ConvTransposePlan(
-        x_shape=tuple(x_shape), w_shape=tuple(w_shape),
-        stride=tuple(stride), padding=tuple(padding),
-        output_padding=tuple(output_padding), path=path, reason=reason)
-    with _CACHE_LOCK:
-        _PLAN_CACHE[key] = plan
-    return plan
+    args = tuple(tuple(a) for a in (x_shape, w_shape, stride, padding,
+                                    output_padding))
 
+    def build() -> ConvTransposePlan:
+        tap_bytes = (x_shape[0] * math.prod(x_shape[2:]) * math.prod(
+            w_shape[1:]) * np.dtype(dtype).itemsize)
+        if tap_bytes > TAP_TENSOR_MAX_BYTES:
+            return ConvTransposePlan(*args, "tap", (
+                f"tap tensor {tap_bytes >> 20} MiB exceeds ceiling"))
+        return ConvTransposePlan(*args, "gemm", (
+            f"tap tensor {tap_bytes >> 10} KiB, single contraction"))
 
-def _convt_full_spatial(plan: ConvTransposePlan) -> tuple[int, ...]:
-    """Scatter extent before the padding crop: (S-1)*st + k + op."""
-    return tuple((s - 1) * st + k + op for s, st, k, op in zip(
-        plan.x_shape[2:], plan.stride, plan.w_shape[2:],
-        plan.output_padding))
-
-
-def _convt_scatter_slices(offset, spatial, stride):
-    """Output slices hit by one kernel tap: start=offset, step=stride."""
-    return tuple(slice(o, o + (s - 1) * st + 1, st)
-                 for o, s, st in zip(offset, spatial, stride))
+    return _cached(("convT",) + args + (np.dtype(dtype).str,), build)
 
 
 def run_conv_transpose_forward(plan: ConvTransposePlan, x, w):
@@ -564,55 +574,44 @@ def run_conv_transpose_forward(plan: ConvTransposePlan, x, w):
     ``x`` is (N, Cin, *S), ``w`` is (Cin, Cout, *K).  No zero-stuffed
     intermediate exists at any point.
     """
-    n = x.shape[0]
-    cout = w.shape[1]
-    kernel = w.shape[2:]
     spatial = x.shape[2:]
-    full = _convt_full_spatial(plan)
+    # Scatter extent before the padding crop: (S-1)*st + k + op.
+    full = tuple((s - 1) * st + k + op for s, st, k, op in zip(
+        spatial, plan.stride, w.shape[2:], plan.output_padding))
     # Accumulate channels-last so each tap scatter is one strided block.
-    acc = np.zeros((n,) + full + (cout,), dtype=x.dtype)
+    acc = np.zeros((x.shape[0],) + full + (w.shape[1],), dtype=x.dtype)
     if plan.path == "gemm":
-        cols = B.tensordot(x, w, axes=([1], [0]))
-        # cols: (N, *S, Cout, *K)
-        for offset in product(*(range(k) for k in kernel)):
-            sl = _convt_scatter_slices(offset, spatial, plan.stride)
-            acc[(slice(None),) + sl] += cols[(Ellipsis,) + offset]
-    else:
-        for offset in product(*(range(k) for k in kernel)):
-            wo = w[(slice(None), slice(None)) + offset]     # (Cin, Cout)
-            tap = B.tensordot(x, wo, axes=([1], [0]))
-            sl = _convt_scatter_slices(offset, spatial, plan.stride)
-            acc[(slice(None),) + sl] += tap                  # (N, *S, Cout)
+        cols = B.tensordot(x, w, axes=([1], [0]))         # (N, *S, Cout, *K)
+    for offset in _offsets(w.shape[2:]):
+        tap = (cols[(Ellipsis,) + offset] if plan.path == "gemm" else
+               B.tensordot(x, w[(Ellipsis,) + offset], axes=([1], [0])))
+        acc[_offset_slices(offset, spatial, plan.stride)[1:]] += tap
     out = np.moveaxis(acc, -1, 1)
     crop = tuple(slice(p, fs - p) for p, fs in zip(plan.padding, full))
     return np.ascontiguousarray(out[(slice(None), slice(None)) + crop])
 
 
-def run_conv_transpose_backward(plan: ConvTransposePlan, x, w, grad):
-    """Gradients of the scatter forward; returns ``(dx, dw)``.
-
-    The data gradient of a transposed convolution is a *forward*
-    convolution of the (re-padded) output gradient with the same weights
-    — so it reuses the planned conv engines.  The weight gradient is one
-    contraction of the input against strided windows of the padded
-    gradient.
-    """
+def run_conv_transpose_backward(plan: ConvTransposePlan, x, w, grad,
+                                need_dx: bool = True, need_dw: bool = True):
+    """Gradients of the scatter forward; returns ``(dx, dw)``, ``None``
+    for a gradient not needed.  dx is a planned *forward* conv of the
+    re-padded output gradient with the same weights; dw one contraction
+    of the input against strided windows of that gradient."""
     nd = x.ndim - 2
-    kernel = w.shape[2:]
-    spatial = x.shape[2:]
-    if any(plan.padding):
-        padw = ((0, 0), (0, 0)) + tuple((p, p) for p in plan.padding)
-        gp = np.pad(grad, padw)
-    else:
-        gp = grad
-    # dx: conv of gp with w (layout (Cin, Cout, *K) is exactly the conv
-    # weight layout with Cout_conv = Cin), same stride, zero padding.
-    conv_plan_ = plan_conv(gp.shape, w.shape, plan.stride,
-                           (0,) * nd, grad.dtype)
-    dx = run_conv_forward(conv_plan_, gp, w, plan.stride, spatial)
-    # dw[ci, co, o] = sum_{n,i} x[n,ci,i] * gp[n,co, st*i + o].
-    win = _strided_windows(gp, kernel, plan.stride, nd)  # (N, Cout, *S, *K)
-    axes = ((0,) + tuple(range(2, 2 + nd)),
-            (0,) + tuple(range(2, 2 + nd)))
-    dw = B.tensordot(x, win, axes=axes)                  # (Cin, Cout, *K)
+    gp = (np.pad(grad, ((0, 0), (0, 0)) + tuple((p, p) for p in plan.padding))
+          if any(plan.padding) else grad)
+    dx = dw = None
+    if need_dx:
+        # Conv of gp with w (layout (Cin, Cout, *K) is exactly the conv
+        # weight layout with Cout_conv = Cin), same stride, zero padding.
+        conv_plan_ = plan_conv(gp.shape, w.shape, plan.stride,
+                               (0,) * nd, grad.dtype)
+        dx = run_conv_forward(conv_plan_, gp, w, plan.stride, x.shape[2:])
+    if need_dw:
+        # dw[ci, co, o] = sum_{n,i} x[n,ci,i] * gp[n,co, st*i + o].
+        spatial = tuple(range(2, 2 + nd))
+        win = B.sliding_window_view(gp, w.shape[2:], axis=spatial)[
+            (slice(None), slice(None))
+            + tuple(slice(None, None, st) for st in plan.stride)]
+        dw = B.tensordot(x, win, axes=((0,) + spatial, (0,) + spatial))
     return dx, dw

@@ -58,12 +58,18 @@ class MeasurementCache:
     on_invalidate:
         Called whenever the table location changes or is cleared, so the
         owner can drop derived caches (e.g. memoized plans).
+    is_current:
+        Predicate on a record; a record failing it (e.g. one naming an
+        engine that no longer exists) reads as a miss and is overwritten
+        by the next :meth:`setdefault`.
     """
 
     def __init__(self, default_path: Path,
                  env_var: str | None = None,
-                 on_invalidate: Callable[[], None] | None = None) -> None:
+                 on_invalidate: Callable[[], None] | None = None,
+                 is_current: Callable[[dict], bool] | None = None) -> None:
         self._default_path = Path(default_path)
+        self._is_current = is_current
         self._env_var = env_var
         self._on_invalidate = on_invalidate
         self._lock = threading.RLock()
@@ -114,16 +120,23 @@ class MeasurementCache:
             self._host = table
         return self._host
 
+    def _current(self, rec: dict | None) -> dict | None:
+        if rec is None or self._is_current is None or self._is_current(rec):
+            return rec
+        return None
+
     def get(self, key: str) -> dict | None:
         with self._lock:
-            return self._load().get(key)
+            return self._current(self._load().get(key))
 
     def setdefault(self, key: str, record: dict[str, Any]) -> dict:
-        """Insert ``record`` unless ``key`` already has one; returns the
-        winning record and persists when an insert happened."""
+        """Insert ``record`` unless ``key`` already has a current one;
+        returns the winning record and persists when an insert happened."""
         with self._lock:
-            existing = self._load().setdefault(key, record)
-            if existing is record:
+            table = self._load()
+            existing = self._current(table.get(key))
+            if existing is None:
+                existing = table[key] = record
                 self._dirty = True
         if existing is record:
             self.save()

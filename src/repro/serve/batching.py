@@ -2,7 +2,7 @@
 
 A single ω query is a (1, 1, *grid) forward; the GEMMs inside are far
 from their throughput regime.  Batching B compatible requests into one
-(B, 1, *grid) forward amortizes planning, im2col and Python dispatch —
+(B, 1, *grid) forward amortizes planning, staging and Python dispatch —
 the classic dynamic-batching trade of a little latency (bounded by
 ``max_wait_ms``) for a lot of throughput.
 

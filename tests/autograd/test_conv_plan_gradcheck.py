@@ -46,13 +46,33 @@ TRANSPOSE_CASES = [
     ((1, 2, 3, 3, 3), (2, 2, 2, 2, 2), 2, 0, 0),    # 3D upsample
 ]
 
-PATHS = ["tensordot", "im2col"]
+PATHS = ["tensordot", "flat"]
 
 
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
 def test_conv_nd_gradcheck(path, x_shape, w_shape, stride, padding, rng):
     set_conv_plan_mode(path)
+    x = t64(x_shape, rng)
+    w = t64(w_shape, rng)
+    b = t64((w_shape[0],), rng)
+    gradcheck(lambda a, ww, bb: conv_nd(a, ww, bb, stride=stride,
+                                        padding=padding), [x, w, b])
+
+
+@pytest.mark.parametrize("staging", ["stacked", "per_tap"])
+@pytest.mark.parametrize("x_shape,w_shape,stride,padding", CONV_CASES)
+def test_conv_nd_gradcheck_flat_stagings(staging, x_shape, w_shape, stride,
+                                         padding, rng, monkeypatch):
+    """Both flat-engine stagings, forced, with a column block that splits
+    every flat length into several blocks."""
+    import repro.backend.conv_plan as cp
+
+    big = 10 ** 9 if staging == "stacked" else 0
+    monkeypatch.setattr(cp, "FLAT_STACK_MAX_ROWS", big)
+    monkeypatch.setattr(cp, "FLAT_STACK_MAX_BYTES", big)
+    monkeypatch.setattr(cp, "FLAT_BLOCK_COLS", 5)
+    set_conv_plan_mode("flat")
     x = t64(x_shape, rng)
     w = t64(w_shape, rng)
     b = t64((w_shape[0],), rng)
@@ -92,7 +112,7 @@ def test_paths_agree_on_values_and_gradients(x_shape, w_shape, stride,
         out.sum().backward()
         results[path] = (out.data, x.grad, w.grad, b.grad)
 
-    for ref, fast in zip(results["tensordot"], results["im2col"]):
+    for ref, fast in zip(results["tensordot"], results["flat"]):
         np.testing.assert_allclose(fast, ref, rtol=1e-11, atol=1e-11)
 
 

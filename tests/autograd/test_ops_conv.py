@@ -166,6 +166,31 @@ class TestConvTranspose:
             conv_transpose_nd(x, w, stride=2, padding=3)
 
 
+class TestContiguity:
+    """Conv outputs are C-contiguous, so the norm and activation layers
+    downstream read them with unit strides."""
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("nd", [1, 2, 3])
+    def test_conv_nd_output(self, rng, nd, stride, bias):
+        x = Tensor(rng.standard_normal((2, 3) + (6,) * nd))
+        w = Tensor(rng.standard_normal((4, 3) + (3,) * nd))
+        b = Tensor(rng.standard_normal(4)) if bias else None
+        out = conv_nd(x, w, b, stride=stride, padding=1)
+        assert out.data.flags.c_contiguous
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+    @pytest.mark.parametrize("nd", [1, 2, 3])
+    def test_conv_transpose_nd_output(self, rng, nd, stride, padding, bias):
+        x = Tensor(rng.standard_normal((2, 3) + (4,) * nd))
+        w = Tensor(rng.standard_normal((3, 4) + (2 + stride % 2,) * nd))
+        b = Tensor(rng.standard_normal(4)) if bias else None
+        out = conv_transpose_nd(x, w, b, stride=stride, padding=padding)
+        assert out.data.flags.c_contiguous
+
+
 def _manual_adjoint(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Adjoint of stride-2 conv via autograd backward (ground truth)."""
     x = Tensor(np.zeros((1, w.shape[1], 8, 8)), requires_grad=True,

@@ -39,8 +39,8 @@ def _plan():
 class TestMeasurement:
     def test_measured_decision_and_reason(self, autotune_env):
         plan = _plan()
-        assert plan.path in ("im2col", "tensordot")
-        assert plan.backward_path in ("im2col", "tensordot")
+        assert plan.path in ("flat", "tensordot")
+        assert plan.backward_path in ("flat", "tensordot")
         assert "autotuned" in plan.reason
 
     def test_table_persisted_under_host_fingerprint(self, autotune_env):
@@ -49,8 +49,8 @@ class TestMeasurement:
         assert host_fingerprint() in data["hosts"]
         (rec,) = data["hosts"][host_fingerprint()].values()
         assert rec["measured"] is True
-        assert set(rec["times"]) == {"fwd_tensordot", "fwd_im2col",
-                                     "bwd_tensordot", "bwd_im2col"}
+        assert set(rec["times"]) == {"fwd_tensordot", "fwd_flat",
+                                     "bwd_tensordot", "bwd_flat"}
 
     def test_second_plan_does_not_remeasure(self, autotune_env,
                                             monkeypatch):
@@ -65,10 +65,8 @@ class TestMeasurement:
         plan = _plan()
         (rec,) = autotune_table().values()
         t = rec["times"]
-        fwd = "im2col" if t["fwd_im2col"] < t["fwd_tensordot"] \
-            else "tensordot"
-        bwd = "im2col" if t["bwd_im2col"] < t["bwd_tensordot"] \
-            else "tensordot"
+        fwd = "tensordot" if t["fwd_tensordot"] < t["fwd_flat"] else "flat"
+        bwd = "tensordot" if t["bwd_tensordot"] < t["bwd_flat"] else "flat"
         assert (plan.path, plan.backward_path) == (fwd, bwd)
 
 
@@ -116,9 +114,67 @@ class TestPersistence:
     def test_corrupt_table_ignored(self, autotune_env):
         autotune_env.write_text("{not json")
         plan = _plan()
-        assert plan.path in ("im2col", "tensordot")
+        assert plan.path in ("flat", "tensordot")
         # The rewrite repairs the file.
         json.loads(autotune_env.read_text())
+
+
+STALE_RECORDS = {
+    # A record that names the deleted im2col engine.
+    "removed_engine": {
+        "path": "im2col", "backward_path": "tensordot", "measured": True,
+        "times": {"fwd_tensordot": 1.0, "fwd_im2col": 0.5,
+                  "bwd_tensordot": 1.0, "bwd_im2col": 2.0}},
+    # Live engines, but timed before the flat engine existed.
+    "missing_timings": {
+        "path": "tensordot", "backward_path": "tensordot", "measured": True,
+        "times": {"fwd_tensordot": 1.0, "bwd_tensordot": 1.0}},
+}
+
+
+def _key():
+    return cp._sig_key(cp.ConvSignature(
+        SIG["x_shape"], SIG["w_shape"], SIG["stride"], SIG["padding"],
+        np.dtype(SIG["dtype"]).str))
+
+
+class TestStaleTable:
+    @pytest.mark.parametrize("kind", sorted(STALE_RECORDS))
+    def test_stale_record_is_remeasured(self, autotune_env, monkeypatch,
+                                        kind):
+        key = _key()
+        autotune_env.write_text(json.dumps({"version": 1, "hosts": {
+            host_fingerprint(): {key: STALE_RECORDS[kind]}}}))
+        clear_autotune_table(memory_only=True)
+        measured = []
+        real = cp._time_engines
+        monkeypatch.setattr(
+            cp, "_time_engines", lambda sig: measured.append(sig) or real(sig))
+
+        plan = _plan()
+        assert len(measured) == 1
+        assert plan.path in ("flat", "tensordot")
+        assert plan.backward_path in ("flat", "tensordot")
+        # The fresh record replaced the stale one on disk.
+        rec = json.loads(autotune_env.read_text())["hosts"][
+            host_fingerprint()][key]
+        assert set(rec["times"]) == {"fwd_flat", "fwd_tensordot",
+                                     "bwd_flat", "bwd_tensordot"}
+        clear_plan_cache()
+        _plan()
+        assert len(measured) == 1
+
+    def test_current_unmeasured_record_is_kept(self, autotune_env,
+                                               monkeypatch):
+        key = _key()
+        autotune_env.write_text(json.dumps({"version": 1, "hosts": {
+            host_fingerprint(): {key: {"path": "tensordot",
+                                       "measured": False,
+                                       "reason": "hand-written"}}}}))
+        clear_autotune_table(memory_only=True)
+        monkeypatch.setattr(cp, "_time_engines", _boom)
+        plan = _plan()
+        assert plan.path == "tensordot" and "hand-written" in plan.reason
 
 
 def _run_snippet(code: str, env: dict) -> str:
@@ -137,7 +193,7 @@ class TestFallbacks:
         monkeypatch.setattr(cp, "_time_engines", _boom)
         plan = plan_conv((2, 8, 16, 16), (4, 8, 1, 1), (1, 1), (0, 0),
                          np.float32)
-        assert plan.path == "tensordot"
+        assert plan.path == "flat"
         assert "fallback" in plan.reason
         # Recorded anyway so restarts skip it too.
         assert len(autotune_table()) == 1
@@ -146,13 +202,22 @@ class TestFallbacks:
         monkeypatch.setattr(cp, "_time_engines", _boom)
         plan = plan_conv((64, 64, 512, 512), (64, 64, 3, 3), (1, 1),
                          (1, 1), np.float32)
-        assert plan.path in ("im2col", "tensordot")
+        assert plan.path in ("flat", "tensordot")
+        assert "fallback" in plan.reason
+
+    def test_strided_signature_not_measured(self, autotune_env,
+                                            monkeypatch):
+        # Strided convs have a single engine: nothing to time.
+        monkeypatch.setattr(cp, "_time_engines", _boom)
+        plan = plan_conv((2, 8, 16, 16), (8, 8, 2, 2), (2, 2), (0, 0),
+                         np.float32)
+        assert plan.path == "tensordot"
         assert "fallback" in plan.reason
 
     def test_forced_modes_keep_single_path(self, autotune_env):
-        set_conv_plan_mode("im2col")
+        set_conv_plan_mode("flat")
         plan = _plan()
-        assert plan.path == "im2col" and plan.backward_path is None
+        assert plan.path == "flat" and plan.backward_path is None
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

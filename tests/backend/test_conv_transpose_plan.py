@@ -80,7 +80,7 @@ class TestScatterParity:
                                        err_msg=name)
 
     def test_tap_path_matches_gemm_path(self, monkeypatch):
-        # Force the thin per-tap engine by shrinking the patch ceiling.
+        # Force the thin per-tap engine by shrinking the tap-tensor ceiling.
         import repro.backend.conv_plan as cp
 
         rng = np.random.default_rng(0)
@@ -88,7 +88,7 @@ class TestScatterParity:
         w = rng.standard_normal((3, 2, 3, 3))
         clear_plan_cache()
         gemm = _both_paths(x, w, None, 2, 1, 1)["scatter"]
-        monkeypatch.setattr(cp, "IM2COL_MAX_PATCH_BYTES", 1)
+        monkeypatch.setattr(cp, "TAP_TENSOR_MAX_BYTES", 1)
         clear_plan_cache()
         plan = plan_conv_transpose(x.shape, w.shape, (2, 2), (1, 1), (1, 1),
                                    x.dtype)

@@ -35,6 +35,15 @@ class TestMeasurementCache:
         cache.setdefault("k", {"winner": "a"})
         assert cache.setdefault("k", {"winner": "b"}) == {"winner": "a"}
 
+    def test_stale_records_read_as_misses(self, tmp_path):
+        c = MeasurementCache(tmp_path / "t.json",
+                             is_current=lambda rec: rec["winner"] != "old")
+        c.setdefault("k", {"winner": "old"})
+        assert c.get("k") is None
+        assert c.setdefault("k", {"winner": "new"}) == {"winner": "new"}
+        c.clear(memory_only=True)
+        assert c.get("k") == {"winner": "new"}
+
     def test_survives_restart(self, cache):
         cache.setdefault("k", {"winner": "a"})
         cache.clear(memory_only=True)          # simulated process restart

@@ -48,16 +48,22 @@ class TestFit:
     def test_measured_epoch_times_near_linear_in_dofs(self):
         """The assumption behind the Fig. 9/10 extrapolation: at the
         larger sizes the cost exponent in DoF approaches 1 (voxel-
-        proportional FLOPs).  Verified on real measurements."""
+        proportional FLOPs).  Verified on real measurements.
+
+        Below 32^2 this small model's step is fixed per-op overhead, not
+        FLOPs, so the fit starts there; each point is the faster of two
+        one-step epochs, so one scheduling hiccup cannot decide it."""
         from repro import MGDiffNet, PoissonProblem2D
         from repro.perf import measure_epoch_time
 
         model = MGDiffNet(ndim=2, base_filters=4, depth=2, rng=0)
         pts = []
-        for r in (16, 32, 64):
+        for r in (32, 64, 128):
             problem = PoissonProblem2D(r)
-            pts.append(measure_epoch_time(model, problem, r, n_samples=4,
-                                          batch_size=4))
+            pts.append(min(
+                (measure_epoch_time(model, problem, r, n_samples=4,
+                                    batch_size=4) for _ in range(2)),
+                key=lambda pt: pt.epoch_seconds))
         fit = fit_power_law(pts, None)
         # Below 1 would mean sublinear cost in voxels (impossible
         # asymptotically); far above 2 would break the extrapolation.

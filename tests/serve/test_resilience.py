@@ -19,6 +19,7 @@ Contracts pinned here:
   ``FleetStats.lost == 0`` in all of it.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -517,7 +518,7 @@ class TestFleetHedgeIntegration:
         fleet = _fleet(shards=2, replicas=2)
         fleet.register_model("m", model, problem)
         fleet.hedge = HedgePolicy(HedgeConfig(max_delay_s=30.0))
-        _, replica_id = fleet.replicas_for("m")
+        primary_id, replica_id = fleet.replicas_for("m")
         by_id = {s.id: s for s in fleet.shards}
         backup = by_id[replica_id].server
         forward = backup._forward
@@ -526,13 +527,26 @@ class TestFleetHedgeIntegration:
             time.sleep(0.3)
             return forward(entry, omegas, resolution)
 
+        # The primary may not answer before the hedge is dispatched: a
+        # fast forward would otherwise finish the future first and
+        # hedge_dispatch would (rightly) refuse it.
+        primary = by_id[primary_id].server
+        primary_forward = primary._forward
+        hedged = threading.Event()
+
+        def gated(entry, omegas, resolution):
+            hedged.wait(timeout=30)
+            return primary_forward(entry, omegas, resolution)
+
         backup._forward = slow
+        primary._forward = gated
         with fleet:
             # Occupy the backup's only worker so the hedge inner queues.
             blocker = backup.submit("m", np.zeros(4))
             time.sleep(0.05)                 # let the blocker start
             future = fleet.submit("m", np.linspace(0.2, 0.8, 4))
             assert fleet.hedge_dispatch(future) is True
+            hedged.set()
             fleet.await_result(future, timeout=30)
             blocker.result(timeout=30)
         s = fleet.stats
