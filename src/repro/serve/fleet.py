@@ -50,10 +50,19 @@ way DNN-MG/GMT partition multigrid work across compute units:
   ``benchmarks/bench_fleet_scaling.py`` reports measured QPS next to the
   virtual interconnect seconds of the simulated fleet.
 
-Error discipline at the routing layer: *request* errors (bad ω arity,
-``DeadlineExceeded``, ``ServerOverloaded``, ``RegistryError``) belong to
-the caller and propagate without ejecting anyone; every other exception
-is a *shard fault* and triggers ejection + failover.
+One attempt engine carries every read: unary reads, hedge backups and
+streams share one routing record, one admission step (``_admit``), one
+replica walk (``_next_replica``), one failure path (``_failed``) and one
+success path (``_served``); ``_conclude`` counts each read's terminal
+term and stamps it on the root span.  Primaries and hedge backups share
+one issue/complete pair; a backup's verdicts stay silent and its fault
+does not re-dispatch.  A stream is not a one-tile unary read: unary
+reads ride the server's micro-batching and in-flight dedup, streams
+bypass both.  ``_verdict`` is the one exception map: *request* errors
+(bad ω, ``DeadlineExceeded``, ``ServerOverloaded``, ``TenantThrottled``,
+``RegistryError``) propagate without ejecting anyone, a cancelled
+attempt moves on without ejecting, and every other exception is a
+*shard fault*: ejection + failover.
 
 Quickstart::
 
@@ -232,37 +241,57 @@ class FleetStats:
         return self.percentile(99.0)
 
 
+def _verdict(exc: BaseException) -> str | None:
+    """The conservation-law term a request-level outcome ends in, or
+    ``None`` for a shard fault — the fleet's one exception map.
+
+    Backpressure, tenant throttling and deadlines are scheduling policy;
+    a bad ω, an unknown model or any other keyed serving error is the
+    caller's.  None of them ejects a shard.  A cancelled attempt is
+    neither a verdict nor a fault: callers test for it first.
+    """
+    for kind, term in ((ServerOverloaded, "rejected"),
+                       (TenantThrottled, "throttled"),
+                       (DeadlineExceeded, "expired"),
+                       ((ServeError, ValueError, RegistryError), "errors")):
+        if isinstance(exc, kind):
+            return term
+    return None
+
+
 class _RouteState:
-    """Mutable routing record of one fleet request (guarded by the
-    fleet lock where it races with dispatch/failover)."""
+    """Mutable routing record of one fleet read, unary or streamed
+    (guarded by the fleet lock where it races with dispatch/failover)."""
 
     __slots__ = ("model_name", "omega", "resolution", "priority",
-                 "deadline_s", "tenant", "replicas", "next_idx", "current",
-                 "submitted_at", "attempt_started", "delivered",
-                 "health_retried", "ignore_health", "hedged", "inners",
-                 "trace")
+                 "deadline_s", "tenant", "tiles", "buffer_tiles",
+                 "replicas", "next_idx", "current", "submitted_at",
+                 "attempt_started", "delivered", "ignore_health", "hedged",
+                 "inners", "trace")
 
     def __init__(self, model_name: str, omega: np.ndarray,
                  resolution: int | None, priority: int | None,
                  deadline_s: float | None, replicas: list[Shard],
-                 tenant: str | None = None) -> None:
+                 tenant: str | None = None, tiles=None,
+                 buffer_tiles: int = 2, trace=None) -> None:
         self.model_name = model_name
         self.omega = omega
         self.resolution = resolution
         self.priority = priority
         self.deadline_s = deadline_s
         self.tenant = tenant
+        self.tiles = tiles                # stream: tile indices still owed
+        self.buffer_tiles = buffer_tiles  # stream: shard-side buffer bound
         self.replicas = replicas
         self.next_idx = 0
         self.current: Shard | None = None
         self.submitted_at = time.monotonic()   # latency anchor (fixed)
         self.attempt_started = self.submitted_at  # hang detection (reset
         self.delivered = False                    # on every re-dispatch)
-        self.health_retried = False   # one last-resort pass used
         self.ignore_health = False    # last-resort pass: try ejected too
         self.hedged = False           # a backup dispatch was attempted
         self.inners: list[Future] = []   # attempts issued (for shedding)
-        self.trace = None             # root span token (telemetry on)
+        self.trace = trace            # root span token (telemetry on)
 
 
 class _FleetFuture(Future):
@@ -548,11 +577,31 @@ class ShardedFleet:
         installed (``self.balancer``) the replica set is reordered per
         read (power-of-two-choices on queue depth) before dispatch.
         """
+        tel = self.telemetry    # root span first: it times routing too
+        trace = (tel.tracer.start("fleet.request", model=model_name)
+                 if tel is not None else None)
+        state = self._admit("fleet.request", trace, model_name, omega,
+                            resolution, priority, deadline_s, tenant)
+        out = _FleetFuture(state)
+        with self._lock:
+            self._c["submitted"] += 1
+        self._dispatch(out, state, sync=True)
+        hedge = self.hedge
+        if hedge is not None and len(state.replicas) > 1 and not out.done():
+            self._arm_hedge(out, hedge)
+        return out
+
+    def _admit(self, root: str, trace, model_name: str, omega: np.ndarray,
+               resolution: int | None, priority: int | None,
+               deadline_s: float | None, tenant: str | None,
+               **stream) -> _RouteState:
+        """The one admission step of every fleet read.  A throttled
+        tenant counts submitted + throttled, stamps the root span
+        ``throttled`` (``trace`` if open, else a fresh ``root`` span) and
+        raises :class:`TenantThrottled`; an unknown model raises
+        :class:`RegistryError`, never counted (an open span exports as
+        ``error``).  An admitted read gets its routing record."""
         omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        tel = self.telemetry
-        span = None
-        if tel is not None:
-            span = tel.tracer.start("fleet.request", model=model_name)
         admission = self.admission
         if tenant is not None and admission is not None:
             retry_after = admission.try_acquire(tenant)
@@ -560,31 +609,24 @@ class ShardedFleet:
                 with self._lock:
                     self._c["submitted"] += 1
                     self._c["throttled"] += 1
-                if span is not None:
-                    span.finish(outcome="throttled")
+                tel = self.telemetry
+                if trace is None and tel is not None:
+                    trace = tel.tracer.start(root, model=model_name)
+                if trace is not None:
+                    trace.finish(outcome="throttled")
                 quota = admission.quota_for(tenant)
                 raise TenantThrottled(model_name, tenant, retry_after,
                                       rate=quota.rate, burst=quota.burst)
         try:
             _, replicas = self._route(model_name)
         except RegistryError:
-            # An unknown model is the caller's error, raised before the
-            # request is ever counted — close the span so it exports.
-            if span is not None:
-                span.finish(outcome="error")
+            if trace is not None:
+                trace.finish(outcome="error")
             raise
-        replicas = self._order_replicas(model_name, replicas)
-        state = _RouteState(model_name, omega, resolution, priority,
-                            deadline_s, replicas, tenant=tenant)
-        state.trace = span
-        out = _FleetFuture(state)
-        with self._lock:
-            self._c["submitted"] += 1
-        self._dispatch(out, state, sync=True)
-        hedge = self.hedge
-        if hedge is not None and len(replicas) > 1 and not out.done():
-            self._arm_hedge(out, hedge)
-        return out
+        return _RouteState(model_name, omega, resolution, priority,
+                           deadline_s, self._order_replicas(model_name,
+                                                            replicas),
+                           tenant=tenant, trace=trace, **stream)
 
     def _order_replicas(self, model_name: str,
                         replicas: list[Shard]) -> list[Shard]:
@@ -637,213 +679,112 @@ class ShardedFleet:
         (abandoning the generator mid-stream counts ``cancelled`` when
         it is closed).  A terminal
         :class:`~repro.serve.errors.DeadlineExceeded` carries the
-        fleet-level ``tiles_delivered`` across all attempts.  Policy
-        verdicts surface on the first ``next``, not at call time; hedged
-        backups and retry policies do not apply to streams (a stream is
-        one stateful read, not a repeatable call).
-        """
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        admission = self.admission
-        if tenant is not None and admission is not None:
-            retry_after = admission.try_acquire(tenant)
-            if retry_after is not None:
-                with self._lock:
-                    self._c["submitted"] += 1
-                    self._c["throttled"] += 1
-                quota = admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
-        _, replicas = self._route(model_name)
-        replicas = self._order_replicas(model_name, replicas)
-        return self._stream_iter(model_name, omega, resolution, priority,
-                                 deadline_s, tenant, replicas, tiles,
-                                 buffer_tiles)
+        fleet-level ``tiles_delivered`` across all attempts.
 
-    def _stream_iter(self, model_name: str, omega: np.ndarray,
-                     resolution: int | None, priority: int | None,
-                     deadline_s: float | None, tenant: str | None,
-                     replicas: list[Shard], tiles, buffer_tiles: int):
-        """Telemetry front of :meth:`_stream_run`: one ``fleet.stream``
-        root span per consumed stream, an instant ``stream.tile`` child
-        per record handed out, outcome stamped with the same
-        conservation-law term the counters record."""
-        inner = self._stream_run(model_name, omega, resolution, priority,
-                                 deadline_s, tenant, replicas, tiles,
-                                 buffer_tiles)
+        A throttled tenant (:class:`~repro.serve.errors.TenantThrottled`)
+        and an unknown model (:class:`~repro.serve.registry.RegistryError`)
+        raise from this call; an admitted stream counts as submitted on
+        its first ``next`` (one never consumed leaves the conservation
+        law untouched), and every shard verdict surfaces from ``next``.
+        Hedged backups and retry policies do not apply to streams (a
+        stream is one stateful read, not a repeatable call).
+        """
+        return self._stream(self._admit(
+            "fleet.stream", None, model_name, omega, resolution, priority,
+            deadline_s, tenant, tiles=tiles, buffer_tiles=buffer_tiles))
+
+    def _stream(self, state: _RouteState):
+        """Generator body of :meth:`stream` (runs on first ``next``):
+        one ``fleet.stream`` root span per consumed stream and an
+        instant ``stream.tile`` child per record handed out."""
         tel = self.telemetry
-        if tel is None:
-            yield from inner
-            return
-        span = tel.tracer.start("fleet.stream", model=model_name)
-        tiles_out = 0
-        try:
-            for record in inner:
-                ts = tel.tracer.start("stream.tile", parent=span,
-                                      tile=record[0])
-                ts.finish()
-                tiles_out += 1
-                yield record
-        except GeneratorExit:
-            span.finish(outcome="cancelled", tiles=tiles_out)
-            inner.close()
-            raise
-        except ServerOverloaded:
-            span.finish(outcome="rejected", tiles=tiles_out)
-            raise
-        except TenantThrottled:
-            span.finish(outcome="throttled", tiles=tiles_out)
-            raise
-        except DeadlineExceeded:
-            span.finish(outcome="expired", tiles=tiles_out)
-            raise
-        except FleetUnavailable:
-            span.finish(outcome="unavailable", tiles=tiles_out)
-            raise
-        except Exception:
-            span.finish(outcome="error", tiles=tiles_out)
-            raise
-        else:
-            span.finish(outcome="served", tiles=tiles_out)
-
-    def _stream_run(self, model_name: str, omega: np.ndarray,
-                    resolution: int | None, priority: int | None,
-                    deadline_s: float | None, tenant: str | None,
-                    replicas: list[Shard], tiles, buffer_tiles: int):
-        """Generator body of :meth:`stream` (runs on first ``next``).
-
-        Submission is counted here, when iteration actually starts, so
-        a stream opened but never consumed leaves the conservation law
-        untouched instead of permanently one short.
-        """
+        if tel is not None:
+            state.trace = tel.tracer.start("fleet.stream",
+                                           model=state.model_name)
         with self._lock:
             self._c["submitted"] += 1
             self._c["streams"] += 1
         budget = self.config.shard_timeout_s
-        delivered: set[int] = set()
-        expected: set[int] | None = None   # fixed by the first replica
-        remaining = tiles
-        next_idx = 0
-        health_retried = False
-        ignore_health = False
-        resuming = False
-        while True:
-            shard = None
-            with self._lock:
-                while next_idx < len(replicas):
-                    candidate = replicas[next_idx]
-                    next_idx += 1
-                    if candidate.healthy or ignore_health:
-                        shard = candidate
-                        break
-            if shard is None:
-                if not health_retried:
-                    # Same last resort as _dispatch: one pass ignoring
-                    # health marks before declaring the key unavailable.
-                    health_retried = True
-                    ignore_health = True
-                    next_idx = 0
-                    continue
-                with self._lock:
-                    self._c["unavailable"] += 1
-                raise FleetUnavailable(
-                    model_name, [s.id for s in replicas])
-            self._comm.send(omega.nbytes)      # routing hop: ω out
-            try:
-                source = shard.server.submit_stream(
-                    model_name, omega, resolution, priority=priority,
-                    deadline_s=deadline_s, tenant=tenant, tiles=remaining,
-                    buffer_tiles=buffer_tiles)
-            except ServerOverloaded:
-                with self._lock:
-                    self._c["rejected"] += 1
-                raise
-            except TenantThrottled:
-                with self._lock:
-                    self._c["throttled"] += 1
-                raise
-            except (ValueError, RegistryError, ServeError):
-                with self._lock:
-                    self._c["errors"] += 1
-                raise
-            except Exception as exc:
-                self._eject(shard, exc)
-                self._breaker_failure(model_name, shard)
-                with self._lock:
-                    self._c["failovers"] += 1
-                continue
-            if expected is None:
-                expected = set(source.tile_indices)
-            if resuming:
-                resuming = False
-                with self._lock:
-                    self._c["stream_resumed"] += 1
-            fault: BaseException | None = None
-            hang = False
-            try:
-                while True:
+        got: set[int] = set()               # tiles the consumer holds
+        expected: set[int] | None = None    # fixed by the first replica
+        source = None
+        try:
+            while True:
+                shard = self._next_replica(state)
+                if shard is None:
+                    self._conclude(state, "unavailable", tiles=len(got))
+                    raise FleetUnavailable(
+                        state.model_name, [s.id for s in state.replicas])
+                self._comm.send(state.omega.nbytes)   # routing hop: ω out
+                fault: BaseException | None = None
+                try:
+                    source = shard.server.submit_stream(
+                        state.model_name, state.omega, state.resolution,
+                        priority=state.priority, deadline_s=state.deadline_s,
+                        tenant=state.tenant, tiles=state.tiles,
+                        buffer_tiles=state.buffer_tiles)
+                except Exception as exc:
+                    source, fault = None, exc
+                else:
+                    if expected is None:
+                        expected = set(source.tile_indices)
+                    else:
+                        with self._lock:
+                            self._c["stream_resumed"] += 1
+                while fault is None:
                     try:
-                        record = source.next_record(timeout=budget)
+                        i, sl, core = source.next_record(timeout=budget)
                     except StopIteration:
-                        break
-                    except StreamStalled:
-                        fault = TimeoutError(
-                            f"shard {shard.id} stalled mid-stream past "
-                            f"shard_timeout_s={budget}")
-                        hang = True
-                        break
-                    except DeadlineExceeded as exc:
-                        with self._lock:
-                            self._c["expired"] += 1
-                        # Fleet-level progress across all attempts.
-                        exc.tiles_delivered = len(delivered)
-                        raise
-                    except ServerOverloaded:
-                        with self._lock:
-                            self._c["rejected"] += 1
-                        raise
-                    except TenantThrottled:
-                        with self._lock:
-                            self._c["throttled"] += 1
-                        raise
-                    except (ServeError, ValueError, RegistryError):
-                        with self._lock:
-                            self._c["errors"] += 1
-                        raise
+                        if expected <= got:
+                            break
+                        # A producer whose request was cancelled ends
+                        # short: a cancelled attempt, resumed elsewhere.
+                        fault = CancelledError(
+                            f"stream on {shard.id} ended short")
                     except Exception as exc:
                         fault = exc
-                        break
-                    i, sl, core = record
-                    if i in delivered:
-                        continue   # failover guard: never re-sent
-                    delivered.add(i)
-                    with self._lock:
-                        self._c["stream_tiles_delivered"] += 1
-                    self._comm.send(core.nbytes)   # response hop, per tile
-                    yield i, sl, core
-            except GeneratorExit:
+                    else:
+                        if i in got:
+                            continue   # failover guard: never re-sent
+                        got.add(i)
+                        with self._lock:
+                            self._c["stream_tiles_delivered"] += 1
+                        self._comm.send(core.nbytes)   # response hop
+                        if state.trace is not None:
+                            tel.tracer.start("stream.tile",
+                                             parent=state.trace,
+                                             tile=i).finish()
+                        yield i, sl, core
+                if fault is None:
+                    self._served(state, shard)
+                    self._conclude(state, "served", tiles=len(got))
+                    return
+                if source is not None:
+                    source.close()
+                # A stall past shard_timeout_s is a hang, like a unary
+                # attempt that never answers.
+                term = self._failed(state, shard, fault,
+                                    hang=isinstance(fault, StreamStalled))
+                if term is not None:
+                    if isinstance(fault, DeadlineExceeded):
+                        # Fleet-level progress across all attempts.
+                        fault.tiles_delivered = len(got)
+                    self._conclude(state, term, tiles=len(got))
+                    raise fault
                 with self._lock:
-                    self._c["cancelled"] += 1
+                    self._c["failovers"] += 1
+                if expected is not None:
+                    state.tiles = sorted(expected - got)
+                    if not state.tiles:
+                        # The fault landed after the last tile reached
+                        # the consumer: the stream is complete.
+                        self._conclude(state, "served", tiles=len(got))
+                        return
+        except GeneratorExit:
+            if source is not None:
                 source.close()
-                raise
-            if fault is None:
-                with self._lock:
-                    self._c["served"] += 1
-                self._readmit(shard)
-                self._breaker_success(model_name, shard)
-                return
-            source.close()
-            self._eject(shard, fault, hang=hang)
-            self._breaker_failure(model_name, shard)
-            with self._lock:
-                self._c["failovers"] += 1
-            remaining = sorted(expected - delivered)
-            if not remaining:
-                # The fault landed after the last tile reached the
-                # consumer: the stream is complete.
-                with self._lock:
-                    self._c["served"] += 1
-                return
-            resuming = True
+            self._conclude(state, "cancelled", tiles=len(got))
+            raise
 
     def predict(self, model_name: str, omega: np.ndarray,
                 resolution: int | None = None,
@@ -949,16 +890,10 @@ class ShardedFleet:
                     or elapsed < budget * 0.999):
                 return False
             state.current = None   # claim: exactly one caller fails over
-        self._eject(hung, TimeoutError(
+        self._failed(state, hung, TimeoutError(
             f"shard {hung.id} did not answer within "
             f"shard_timeout_s={budget}"), hang=True)
-        self._breaker_failure(state.model_name, hung)
-        with self._lock:
-            if state.delivered:
-                return False
-            self._c["failovers"] += 1
-        self._dispatch(future, state)
-        return True
+        return self._failover(future, state, None)
 
     def predict_many(self, model_name: str, omegas: np.ndarray,
                      resolution: int | None = None,
@@ -973,110 +908,103 @@ class ShardedFleet:
         return np.stack([self.await_result(f, timeout) for f in futures])
 
     # ------------------------------------------------------------------ #
-    # Dispatch, failover, delivery
+    # The attempt engine: walk, issue, complete, deliver
     # ------------------------------------------------------------------ #
-    def _dispatch(self, out: Future, state: _RouteState,
-                  sync: bool = False) -> None:
-        """Hand the request to the next healthy replica (loops past
-        shards that fault synchronously)."""
-        while True:
-            shard = None
-            with self._lock:
+    def _next_replica(self, state: _RouteState) -> Shard | None:
+        """The fleet's one replica walk; claims the returned shard as
+        the read's current owner (``None``: the replica set is spent).
+
+        Last resort before declaring the key unavailable: one pass
+        *ignoring* health marks.  Some ejections are false positives
+        (the hang budget includes queue wait), and unlike a blocking
+        probe this retry is safe from any thread.  A shard that answers
+        is re-admitted by :meth:`_served`; a dead one faults through.
+        """
+        with self._lock:
+            while True:
                 while state.next_idx < len(state.replicas):
                     candidate = state.replicas[state.next_idx]
                     state.next_idx += 1
                     if candidate.healthy or state.ignore_health:
-                        shard = candidate
-                        break
-                state.current = shard
-                state.attempt_started = time.monotonic()
-            if shard is None:
-                if not state.health_retried:
-                    # Last resort before declaring the key unavailable:
-                    # one pass over the replica set *ignoring* health
-                    # marks.  Some ejections are false positives (the
-                    # hang budget includes queue wait), and unlike a
-                    # blocking probe this retry is safe from any thread
-                    # — a worker callback or the event loop.  A shard
-                    # that answers is re-admitted on delivery; a truly
-                    # dead one faults straight through to the
-                    # unavailable verdict below.
-                    state.health_retried = True
-                    state.ignore_health = True
-                    state.next_idx = 0
-                    continue
-                exc = FleetUnavailable(
-                    state.model_name, [s.id for s in state.replicas])
-                self._deliver(out, state, exc=exc, counter="unavailable")
-                if sync:
-                    raise exc from None
-                return
-            self._comm.send(state.omega.nbytes)   # routing hop: ω out
-            tel = self.telemetry
-            aspan = None
-            if tel is not None and state.trace is not None:
-                aspan = tel.tracer.start("fleet.attempt",
-                                         parent=state.trace, shard=shard.id)
-            try:
-                inner = shard.server.submit(
-                    state.model_name, state.omega, state.resolution,
-                    priority=state.priority, deadline_s=state.deadline_s,
-                    tenant=state.tenant, trace_parent=aspan)
-            except ServerOverloaded as exc:
-                # Backpressure is scheduling policy, not a shard fault:
-                # the caller sheds or retries; nobody gets ejected.
-                if aspan is not None:
-                    aspan.finish(outcome="rejected")
-                self._deliver(out, state, exc=exc, counter="rejected")
-                if sync:
-                    raise
-                return
-            except TenantThrottled as exc:
-                # Shard-level admission (a server with its own
-                # controller): policy, not a fault — account it under
-                # the throttle term of the conservation law.
-                if aspan is not None:
-                    aspan.finish(outcome="throttled")
-                self._deliver(out, state, exc=exc, counter="throttled")
-                if sync:
-                    raise
-                return
-            except (ValueError, RegistryError, ServeError) as exc:
-                if aspan is not None:
-                    aspan.finish(outcome="error")
-                self._deliver(out, state, exc=exc, counter="errors")
-                if sync:
-                    raise
-                return
-            except Exception as exc:
-                if aspan is not None:
-                    aspan.finish(outcome="fault",
-                                 error=type(exc).__name__)
-                self._eject(shard, exc)
-                self._breaker_failure(state.model_name, shard)
-                with self._lock:
-                    self._c["failovers"] += 1
-                continue
-            with self._lock:
-                state.inners.append(inner)
-            # Per-attempt anchor: the hedge policy must learn *service*
-            # latency of the attempt that answers, not submit-anchored
-            # wall time (which folds in hung primaries and hedge delays
-            # and would ratchet the quantile toward max_delay_s).
-            anchor = time.monotonic()
-            inner.add_done_callback(
-                lambda f, shard=shard, anchor=anchor, aspan=aspan:
-                self._on_done(out, state, shard, f, anchor, aspan))
-            return
+                        state.current = candidate
+                        state.attempt_started = time.monotonic()
+                        return candidate
+                state.current = None
+                if state.ignore_health:
+                    return None
+                state.ignore_health = True
+                state.next_idx = 0
 
-    def _on_done(self, out: Future, state: _RouteState, shard: Shard,
-                 inner: Future, anchor: float | None = None,
-                 span=None) -> None:
-        """Classify a shard answer: deliver, or eject + fail over."""
+    def _dispatch(self, out: Future, state: _RouteState,
+                  sync: bool = False) -> None:
+        """Hand a unary read to its next replica.  On the initial
+        dispatch (``sync``) a verdict or an exhausted replica set also
+        raises to the caller."""
+        shard = self._next_replica(state)
+        if shard is None:
+            exc = FleetUnavailable(
+                state.model_name, [s.id for s in state.replicas])
+            self._deliver(out, state, exc=exc, counter="unavailable")
+            if sync:
+                raise exc from None
+            return
+        self._issue(out, state, shard, sync=sync)
+
+    def _issue(self, out: Future, state: _RouteState, shard: Shard,
+               backup: bool = False, sync: bool = False) -> bool:
+        """Send one attempt of a unary read to ``shard``; ``True`` once
+        it is in flight.  Primary attempts and hedge backups (``backup``)
+        share this path, and :meth:`_complete` classifies the outcome,
+        whether the shard refuses at submit or answers later."""
+        self._comm.send(state.omega.nbytes)   # routing hop: ω out
+        span = None
+        if state.trace is not None:            # telemetry is on
+            span = self.telemetry.tracer.start(
+                "fleet.hedge" if backup else "fleet.attempt",
+                parent=state.trace, shard=shard.id)
         try:
-            exc = inner.exception()
-        except CancelledError as cancel:
-            exc = cancel
+            inner = shard.server.submit(
+                state.model_name, state.omega, state.resolution,
+                priority=state.priority, deadline_s=state.deadline_s,
+                tenant=state.tenant, trace_parent=span)
+        except Exception as exc:
+            self._complete(out, state, shard, span, backup, exc=exc,
+                           sync=sync)
+            return False
+        with self._lock:
+            state.inners.append(inner)
+            if backup:
+                self._c["hedges"] += 1
+        hedge = self.hedge
+        if backup and hedge is not None:
+            hedge.record_hedge()
+        # Per-attempt anchor: the hedge policy must learn *service*
+        # latency of the attempt that answers, not submit-anchored
+        # wall time (which folds in hung primaries and hedge delays
+        # and would ratchet the quantile toward max_delay_s).
+        anchor = time.monotonic()
+        inner.add_done_callback(
+            lambda f: self._complete(out, state, shard, span, backup,
+                                     inner=f, anchor=anchor))
+        return True
+
+    def _complete(self, out: Future, state: _RouteState, shard: Shard,
+                  span, backup: bool, *, inner: Future | None = None,
+                  exc: BaseException | None = None,
+                  anchor: float | None = None, sync: bool = False) -> None:
+        """Classify one attempt's outcome: its ``inner`` future (as the
+        done-callback) or the ``exc`` its submit raised.
+
+        The first answer wins (delivered-guard).  Only a primary
+        delivers a verdict or fails over: the primary owns the read,
+        and a hedge must never *cause* a failure.  A synchronous
+        primary verdict is re-raised to the submitting caller.
+        """
+        if inner is not None:
+            try:
+                exc = inner.exception()
+            except CancelledError as cancel:
+                exc = cancel
         if exc is None:
             value = inner.result()
             won = self._deliver(out, state, result=value, counter="served",
@@ -1084,60 +1012,82 @@ class ShardedFleet:
             if span is not None:
                 span.finish(outcome="served", won=won)
             if won:
-                self._comm.send(value.nbytes)     # response hop: field back
-                # An answer is the strongest health probe there is: a
-                # shard serving from the ignore-health last-resort pass
-                # (ejected on a false hang) re-admits itself.
-                self._readmit(shard)
-                self._breaker_success(state.model_name, shard)
+                if backup:
+                    with self._lock:
+                        self._c["hedged_wins"] += 1
+                    hedge = self.hedge
+                    if hedge is not None:
+                        hedge.record_win()
+                self._served(state, shard, value.nbytes)
             return
-        if isinstance(exc, ServerOverloaded):
-            if span is not None:
-                span.finish(outcome="rejected")
-            self._deliver(out, state, exc=exc, counter="rejected")
+        term = self._failed(state, shard, exc, span)
+        if backup:
             return
-        if isinstance(exc, TenantThrottled):
-            if span is not None:
-                span.finish(outcome="throttled")
-            self._deliver(out, state, exc=exc, counter="throttled")
+        if term is None:
+            self._failover(out, state, shard, sync)
             return
-        if isinstance(exc, DeadlineExceeded):
-            if span is not None:
-                span.finish(outcome="expired")
-            self._deliver(out, state, exc=exc, counter="expired")
-            return
-        if isinstance(exc, (ServeError, ValueError, RegistryError)):
-            if span is not None:
-                span.finish(outcome="error")
-            self._deliver(out, state, exc=exc, counter="errors")
-            return
-        if isinstance(exc, CancelledError):
-            # A cancelled attempt is nobody's fault: hedge racing sheds
-            # the losing inner future after the answer landed, and
-            # ejecting the loser would punish a healthy replica for
-            # being second.  An *undelivered* cancelled attempt (a
-            # caller reached into the inner future) still fails over
-            # below so the request is not lost — just without ejecting.
-            if span is not None:
-                span.finish(outcome="cancelled")
-            with self._lock:
-                if state.delivered:
-                    return
-        else:
-            # Anything else is the shard's fault, not the request's.
-            if span is not None:
-                span.finish(outcome="fault", error=type(exc).__name__)
-            self._eject(shard, exc)
-            self._breaker_failure(state.model_name, shard)
+        self._deliver(out, state, exc=exc, counter=term)
+        if sync:
+            raise exc
+
+    def _failover(self, out: Future, state: _RouteState,
+                  owner: Shard | None, sync: bool = False) -> bool:
+        """Re-dispatch a read whose attempt on ``owner`` failed (``None``:
+        the caller already claimed it).  A newer attempt (hang failover
+        moved on) or a delivered answer wins: a stale straggler must not
+        burn the remaining replicas."""
         with self._lock:
-            if state.delivered or state.current is not shard:
-                # A newer attempt owns this request (hang failover
-                # already moved on): record the fault, but a stale
-                # straggler must not burn the remaining replicas.
-                return
-            state.current = None          # claim the re-dispatch
+            if state.delivered or state.current is not owner:
+                return False
+            state.current = None
             self._c["failovers"] += 1
-        self._dispatch(out, state)
+        self._dispatch(out, state, sync)
+        return True
+
+    def _failed(self, state: _RouteState, shard: Shard, exc: BaseException,
+                span=None, hang: bool = False) -> str | None:
+        """The one failure path of an attempt, unary or streamed: the
+        :func:`_verdict` term for the caller to deliver, or ``None`` when
+        the read wants another replica.  A shard fault ejects + counts a
+        breaker failure; a cancelled attempt is nobody's fault — hedge
+        racing sheds the losing inner after the answer landed, and
+        ejecting it would punish a healthy replica for being second."""
+        cancelled = isinstance(exc, CancelledError)
+        term = None if cancelled else _verdict(exc)
+        if span is not None:
+            span.finish(outcome="cancelled" if cancelled else term or "fault",
+                        error=type(exc).__name__)
+        if term is None and not cancelled:
+            self._eject(shard, exc, hang=hang)
+            breaker = self.breaker
+            if breaker is not None:
+                breaker.record_failure((state.model_name, shard.id))
+        return term
+
+    def _served(self, state: _RouteState, shard: Shard,
+                hop_bytes: int = 0) -> None:
+        """The one success path of an attempt: response hop (streams
+        charge theirs per tile), re-admission — an answer is the
+        strongest health probe there is — and a breaker success."""
+        if hop_bytes:
+            self._comm.send(hop_bytes)        # response hop: field back
+        self._readmit(shard)
+        breaker = self.breaker
+        if breaker is not None:
+            breaker.record_success((state.model_name, shard.id))
+
+    def _conclude(self, state: _RouteState, term: str,
+                  latency: float | None = None, **attrs) -> None:
+        """Count a read's one conservation-law term and stamp its root
+        span with the same term (plus ``attrs``)."""
+        with self._lock:
+            self._c[term] += 1
+            if latency is not None:
+                self._latencies.append(latency)
+                if len(self._latencies) > _LAT_WINDOW:
+                    del self._latencies[:len(self._latencies) - _LAT_WINDOW]
+        if state.trace is not None:
+            state.trace.finish(outcome=term, **attrs)
 
     def _deliver(self, out: Future, state: _RouteState, *,
                  result=None, exc: BaseException | None = None,
@@ -1170,18 +1120,9 @@ class ShardedFleet:
             live = out.set_running_or_notify_cancel()
         except InvalidStateError:  # pragma: no cover - delivered guards this
             return False
-        latency = None
         now = time.monotonic()
-        with self._lock:
-            self._c[counter if live else "cancelled"] += 1
-            if live and exc is None:
-                latency = now - state.submitted_at
-                self._latencies.append(latency)
-                if len(self._latencies) > _LAT_WINDOW:
-                    del self._latencies[:len(self._latencies) - _LAT_WINDOW]
-        if state.trace is not None:
-            # Root span outcome == the conservation-law term counted.
-            state.trace.finish(outcome=counter if live else "cancelled")
+        latency = now - state.submitted_at if live and exc is None else None
+        self._conclude(state, counter if live else "cancelled", latency)
         if live:
             if exc is not None:
                 out.set_exception(exc)
@@ -1195,7 +1136,7 @@ class ShardedFleet:
         return live
 
     # ------------------------------------------------------------------ #
-    # Hedged reads + circuit-breaker bookkeeping
+    # Hedged reads
     # ------------------------------------------------------------------ #
     def _arm_hedge(self, out: "_FleetFuture", hedge) -> None:
         """Schedule a backup dispatch at now + the policy's tracked
@@ -1213,15 +1154,14 @@ class ShardedFleet:
         The hedge policy's dispatch primitive: the timer calls it after
         the quantile delay elapses, and deterministic tests call it
         directly.  Picks the first healthy replica that is not the
-        current owner (skipping open circuits), charges the routing
-        hop, and races the backup against the primary — the delivered
-        -guard in ``_deliver`` makes the race safe: first answer wins,
-        exactly one outcome is counted, the loser is cancelled.
-        Returns ``True`` when a backup was actually issued.
+        current owner (skipping open circuits) and issues the backup
+        through the shared attempt engine — the delivered-guard in
+        ``_deliver`` makes the race safe: first answer wins, exactly one
+        outcome is counted, the loser is cancelled.  Returns ``True``
+        when a backup was actually issued.
         """
         state = getattr(future, "state", None)
-        hedge = self.hedge
-        if state is None or hedge is None or future.done():
+        if state is None or self.hedge is None or future.done():
             return False
         with self._lock:
             if state.delivered or state.hedged or state.current is None:
@@ -1231,83 +1171,13 @@ class ShardedFleet:
             candidates = [s for s in state.replicas
                           if s.healthy and s is not primary]
         breaker = self.breaker
-        tel = self.telemetry
         for shard in candidates:
             if breaker is not None and not breaker.allow(
                     (state.model_name, shard.id)):
                 continue
-            self._comm.send(state.omega.nbytes)   # routing hop: ω out
-            hspan = None
-            if tel is not None and state.trace is not None:
-                hspan = tel.tracer.start("fleet.hedge",
-                                         parent=state.trace, shard=shard.id)
-            try:
-                inner = shard.server.submit(
-                    state.model_name, state.omega, state.resolution,
-                    priority=state.priority, deadline_s=state.deadline_s,
-                    tenant=state.tenant, trace_parent=hspan)
-            except (ServerOverloaded, TenantThrottled, ValueError,
-                    RegistryError, ServeError):
-                if hspan is not None:
-                    hspan.finish(outcome="policy")
-                continue     # policy verdicts: the primary decides
-            except Exception as exc:
-                if hspan is not None:
-                    hspan.finish(outcome="fault",
-                                 error=type(exc).__name__)
-                self._eject(shard, exc)
-                self._breaker_failure(state.model_name, shard)
-                continue
-            with self._lock:
-                self._c["hedges"] += 1
-                state.inners.append(inner)
-            hedge.record_hedge()
-            anchor = time.monotonic()
-            inner.add_done_callback(
-                lambda f, shard=shard, anchor=anchor, hspan=hspan:
-                self._on_hedge_done(future, state, shard, f, anchor, hspan))
-            return True
+            if self._issue(future, state, shard, backup=True):
+                return True
         return False
-
-    def _on_hedge_done(self, out: Future, state: _RouteState,
-                       shard: Shard, inner: Future,
-                       anchor: float | None = None, span=None) -> None:
-        """Classify a backup answer: first answer wins, losing or
-        policy-rejected backups stay silent (the primary attempt still
-        owns the request — a hedge must never *cause* a failure), and
-        a backup shard fault ejects without re-dispatching."""
-        try:
-            exc = inner.exception()
-        except CancelledError:
-            if span is not None:
-                span.finish(outcome="cancelled")
-            return                       # shed straggler: already won
-        if exc is None:
-            value = inner.result()
-            won = self._deliver(out, state, result=value, counter="served",
-                                anchor=anchor)
-            if span is not None:
-                span.finish(outcome="served", won=won)
-            if won:
-                with self._lock:
-                    self._c["hedged_wins"] += 1
-                hedge = self.hedge
-                if hedge is not None:
-                    hedge.record_win()
-                self._comm.send(value.nbytes)     # response hop
-                self._readmit(shard)
-                self._breaker_success(state.model_name, shard)
-            return
-        if isinstance(exc, (CancelledError, ServerOverloaded,
-                            TenantThrottled, DeadlineExceeded, ServeError,
-                            ValueError, RegistryError)):
-            if span is not None:
-                span.finish(outcome="policy", error=type(exc).__name__)
-            return
-        if span is not None:
-            span.finish(outcome="fault", error=type(exc).__name__)
-        self._eject(shard, exc)
-        self._breaker_failure(state.model_name, shard)
 
     def _cancel_stragglers(self, state: _RouteState) -> None:
         """Cancel every unfinished attempt of a resolved hedge race.
@@ -1325,17 +1195,6 @@ class ShardedFleet:
                     self._c["hedge_cancels"] += 1
                 if hedge is not None:
                     hedge.record_cancel()
-
-    def _breaker_success(self, model_name: str, shard: Shard) -> None:
-        breaker = self.breaker
-        if breaker is not None:
-            breaker.record_success((model_name, shard.id))
-
-    def _breaker_failure(self, model_name: str, shard: Shard) -> None:
-        breaker = self.breaker
-        if breaker is not None:
-            breaker.record_failure((model_name, shard.id))
-
     # ------------------------------------------------------------------ #
     # Health
     # ------------------------------------------------------------------ #

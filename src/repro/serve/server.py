@@ -499,35 +499,12 @@ class PredictionServer:
 
         Served fields are read-only (hits and misses alike — they may be
         shared with the cache); copy before mutating."""
-        if tenant is not None and self.admission is not None:
-            retry_after = self.admission.try_acquire(tenant)
-            if retry_after is not None:
-                with self._stats_lock:
-                    self.stats.throttled += 1
-                quota = self.admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
-        entry = self.registry.get(model_name)
-        r = int(resolution or entry.problem.resolution)
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        if omega.size != entry.problem.field.m:
-            # Reject here: a wrong-arity ω must never reach a worker,
-            # where it would poison the fused np.stack of its whole group.
-            raise ValueError(
-                f"model {model_name!r} expects omega of length "
-                f"{entry.problem.field.m}, got {omega.size}")
-        t0 = time.perf_counter()
-        tel = self.telemetry
-        span = None
-        if tel is not None:
-            # ``trace_parent`` is the caller's context token (a fleet
-            # attempt span, typically); None starts a fresh root, which
-            # is where trace sampling applies.
-            span = tel.tracer.start("server.request", parent=trace_parent,
-                                    model=model_name)
-
-        future: Future = Future()
-        key = self._key(entry, omega, r)
+        entry, request = self._intake(model_name, omega, resolution,
+                                      priority, deadline_s, tenant,
+                                      traced=True, trace_parent=trace_parent)
+        t0, span, future = request.enqueued_at, request.trace, request.future
+        key = request.key = self._key(entry, request.omega,
+                                      request.resolution)
         cached = self.cache.get(key)
         if cached is not None:
             with self._stats_lock:
@@ -553,48 +530,30 @@ class PredictionServer:
                 span.finish(outcome="dedup")
             return twin
 
-        if priority is None:
-            priority = self.config.default_priority
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        request = PredictRequest(
-            model_name=model_name, omega=omega, resolution=r, future=future,
-            key=key, priority=int(priority), deadline_s=deadline_s,
-            expires_at=(t0 + deadline_s if deadline_s is not None else None),
-            tenant=tenant, trace=span)
-        if self.running:
+        # One read of ``running``: the queue.wait span opens exactly when
+        # the request is queued (a span opened after the put could race
+        # the worker that finishes it).
+        running = self.running
+        if span is not None and running:
+            request.trace_queue = self.telemetry.tracer.start(
+                "queue.wait", parent=span)
+        try:
+            queued = self._accept(request, running)
+        except ServerOverloaded as exc:
+            # Release the dedup slot too: a later identical submit must
+            # compute, not attach to a future nothing will resolve.  A
+            # twin may have attached between the in-flight insert above
+            # and this rejection; failing the future (not just raising)
+            # guarantees no attached caller waits forever.
+            self._drop_inflight(request)
+            if future.set_running_or_notify_cancel():
+                future.set_exception(exc)
             if span is not None:
-                request.trace_queue = tel.tracer.start("queue.wait",
-                                                       parent=span)
-            try:
-                self._queue.put(request, block=False)
-            except queue.Full:
-                # Backpressure: reject synchronously before the request
-                # consumes any server state (its dedup slot included —
-                # a later identical submit must compute, not attach to
-                # a future nothing will resolve).  A rejection is not an
-                # accepted request: it counts in ``rejected``, not in
-                # ``requests``, so retried submits don't inflate QPS.
-                self._drop_inflight(request)
-                with self._stats_lock:
-                    self.stats.rejected += 1
-                exc = ServerOverloaded(
-                    model_name, key, pending=self._queue.qsize(),
-                    max_pending=self.config.max_pending)
-                # A twin may have attached between the in-flight insert
-                # above and this rejection; failing the future (not just
-                # raising) guarantees no attached caller waits forever.
-                if future.set_running_or_notify_cancel():
-                    future.set_exception(exc)
-                if span is not None:
-                    request.trace_queue.finish()
-                    span.finish(outcome="rejected")
-                raise exc from None
-            with self._stats_lock:
-                self.stats.requests += 1
+                request.trace_queue.finish()
+                span.finish(outcome="rejected")
+            raise
+        if queued:
             return future
-        with self._stats_lock:
-            self.stats.requests += 1
         if request.expired():
             # Sync front-end honors a zero/negative budget the same way
             # the queue would, so deadline semantics don't depend on
@@ -604,6 +563,86 @@ class PredictionServer:
             # Sync front-end: same path, caller's thread.
             self._process_group(entry, [request])
         return future
+
+    def _intake(self, model_name: str, omega: np.ndarray,
+                resolution: int | None, priority: int | None,
+                deadline_s: float | None, tenant: str | None,
+                traced: bool = False, trace_parent=None,
+                ) -> tuple[ModelEntry, PredictRequest]:
+        """The one intake of :meth:`submit` and :meth:`submit_stream`.
+
+        Admission first (a tenant past its quota counts ``throttled``
+        and raises :class:`TenantThrottled` before touching any server
+        state), then the entry lookup, resolution, ω arity check and the
+        priority/deadline defaults.  Returns the entry and the request,
+        stamped (``enqueued_at``) with the intake time its deadline
+        counts from; the caller stamps its cache/dedup ``key``.  A
+        ``traced`` request (unary submit) opens ``server.request`` here,
+        once valid, so the span covers its construction and keying too.
+        """
+        if tenant is not None and self.admission is not None:
+            retry_after = self.admission.try_acquire(tenant)
+            if retry_after is not None:
+                with self._stats_lock:
+                    self.stats.throttled += 1
+                quota = self.admission.quota_for(tenant)
+                raise TenantThrottled(model_name, tenant, retry_after,
+                                      rate=quota.rate, burst=quota.burst)
+        entry = self.registry.get(model_name)
+        r = int(resolution or entry.problem.resolution)
+        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
+        if omega.size != entry.problem.field.m:
+            # Reject here: a wrong-arity ω must never reach a worker,
+            # where it would poison the fused np.stack of its whole group.
+            raise ValueError(
+                f"model {model_name!r} expects omega of length "
+                f"{entry.problem.field.m}, got {omega.size}")
+        t0 = time.perf_counter()
+        tel = self.telemetry
+        span = None
+        if traced and tel is not None:
+            # ``trace_parent`` is the caller's context token (a fleet
+            # attempt span, typically); None starts a fresh root, which
+            # is where trace sampling applies.
+            span = tel.tracer.start("server.request", parent=trace_parent,
+                                    model=model_name)
+        if priority is None:
+            priority = self.config.default_priority
+        if deadline_s is None:
+            deadline_s = self.config.default_deadline_s
+        return entry, PredictRequest(
+            model_name=model_name, omega=omega, resolution=r,
+            future=Future(), enqueued_at=t0,
+            priority=int(priority), deadline_s=deadline_s,
+            expires_at=(t0 + deadline_s if deadline_s is not None else None),
+            tenant=tenant, trace=span)
+
+    def _accept(self, request: PredictRequest, queued: bool) -> bool:
+        """Count an accepted request and queue it when ``queued`` (the
+        caller's one read of :attr:`running`).
+
+        Returns ``queued``: ``False`` means the caller serves it inline
+        (sync front-end).  A full bounded queue raises
+        :class:`ServerOverloaded` synchronously, before the request
+        consumes any server state: a rejection is not an accepted
+        request, so it counts in ``rejected``, not in ``requests``, and
+        retried submits don't inflate QPS.
+        """
+        if queued:
+            try:
+                self._queue.put(request, block=False)
+            except queue.Full:
+                with self._stats_lock:
+                    self.stats.rejected += 1
+                raise ServerOverloaded(
+                    request.model_name, request.key,
+                    pending=self._queue.qsize(),
+                    max_pending=self.config.max_pending) from None
+        with self._stats_lock:
+            self.stats.requests += 1
+            if request.stream is not None:
+                self.stats.streams += 1
+        return queued
 
     def submit_stream(self, model_name: str, omega: np.ndarray,
                       resolution: int | None = None, *,
@@ -633,28 +672,10 @@ class PredictionServer:
         backpressure).  Streams bypass in-flight dedup — two identical
         streams each deliver their own records.
         """
-        if tenant is not None and self.admission is not None:
-            retry_after = self.admission.try_acquire(tenant)
-            if retry_after is not None:
-                with self._stats_lock:
-                    self.stats.throttled += 1
-                quota = self.admission.quota_for(tenant)
-                raise TenantThrottled(model_name, tenant, retry_after,
-                                      rate=quota.rate, burst=quota.burst)
-        entry = self.registry.get(model_name)
-        r = int(resolution or entry.problem.resolution)
-        omega = np.asarray(omega, dtype=np.float64).reshape(-1)
-        if omega.size != entry.problem.field.m:
-            raise ValueError(
-                f"model {model_name!r} expects omega of length "
-                f"{entry.problem.field.m}, got {omega.size}")
-        t0 = time.perf_counter()
-        if priority is None:
-            priority = self.config.default_priority
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        expires_at = t0 + deadline_s if deadline_s is not None else None
-
+        entry, request = self._intake(model_name, omega, resolution,
+                                      priority, deadline_s, tenant)
+        r = request.resolution
+        request.key = self._key(entry, request.omega, r)
         # Resolve the plan eagerly: tile identities must be fixed before
         # any compute so a resuming caller can name the undelivered set.
         tile, halo = self._tile_params(entry, r)
@@ -672,46 +693,25 @@ class PredictionServer:
                     raise ValueError(
                         f"tile index {t} out of range for "
                         f"{plan.num_tiles} tiles")
-        key = self._key(entry, omega, r)
-        stream = TileStream(model_name, key, shape, indices,
+        stream = TileStream(model_name, request.key, shape, indices,
                             buffer_tiles=buffer_tiles)
         stream._plan, stream._tile, stream._halo = plan, tile, halo
 
-        cached = self.cache.get(key)
+        cached = self.cache.get(request.key)
         if cached is not None:
             with self._stats_lock:
                 self.stats.requests += 1
                 self.stats.streams += 1
                 self.stats.cache_hits += 1
-            stream._gen = self._stream_cached(
-                stream, plan, cached, expires_at, deadline_s, t0)
+            stream._gen = self._stream_cached(stream, plan, cached, request)
             return stream
 
-        request = PredictRequest(
-            model_name=model_name, omega=omega, resolution=r,
-            future=Future(), key=key, priority=int(priority),
-            deadline_s=deadline_s, expires_at=expires_at, tenant=tenant,
-            stream=stream)
+        request.stream = stream
         request.future.add_done_callback(_stream_terminal(stream))
-        if self.running:
-            try:
-                self._queue.put(request, block=False)
-            except queue.Full:
-                with self._stats_lock:
-                    self.stats.rejected += 1
-                raise ServerOverloaded(
-                    model_name, key, pending=self._queue.qsize(),
-                    max_pending=self.config.max_pending) from None
-            with self._stats_lock:
-                self.stats.requests += 1
-                self.stats.streams += 1
-            return stream
-        with self._stats_lock:
-            self.stats.requests += 1
-            self.stats.streams += 1
-        # Sync front-end: lazy pull-mode generator — each ``next`` runs
-        # one tile's compute on the consumer's thread.
-        stream._gen = self._stream_records(entry, request)
+        if not self._accept(request, self.running):
+            # Sync front-end: lazy pull-mode generator — each ``next``
+            # runs one tile's compute on the consumer's thread.
+            stream._gen = self._stream_records(entry, request)
         return stream
 
     def predict(self, model_name: str, omega: np.ndarray,
@@ -959,19 +959,19 @@ class PredictionServer:
             self.cache.put(req.key, out)
 
     def _stream_cached(self, stream: TileStream, plan, cached: np.ndarray,
-                       expires_at: float | None, deadline_s: float | None,
-                       t0: float):
+                       req: PredictRequest):
         """Stream a cache hit: slice the cached field per plan block (no
         compute), still honoring per-tile deadline checks."""
         n = 0
         for i in stream.tile_indices:
-            if expires_at is not None and time.perf_counter() > expires_at:
+            if req.expired():
                 with self._stats_lock:
                     self.stats.expired += 1
                 raise DeadlineExceeded(
                     stream.model_name, stream.key,
-                    deadline_s=deadline_s or 0.0,
-                    waited_s=time.perf_counter() - t0, tiles_delivered=n)
+                    deadline_s=req.deadline_s or 0.0,
+                    waited_s=time.perf_counter() - req.enqueued_at,
+                    tiles_delivered=n)
             sl = tuple(slice(a, b) for a, b in plan.blocks[i])
             with self._stats_lock:
                 self.stats.stream_tiles += 1

@@ -331,11 +331,24 @@ class TestCommittedStorm:
 # Chaos hooks: stream coverage + re-entrant faults + abort hygiene
 # --------------------------------------------------------------------- #
 import threading
-import time
 
 import numpy as np
 
 from repro.serve.replay import ShardChaos
+
+
+def _observe_gate(chaos: ShardChaos) -> threading.Event:
+    """Report when a thread parks on the live hang gate: the returned
+    event is set as a waiter enters the gate's ``wait``."""
+    gate, parked = chaos._release, threading.Event()
+    wait = gate.wait
+
+    def observed(timeout=None):
+        parked.set()
+        return wait(timeout)
+
+    gate.wait = observed
+    return parked
 
 
 class TestShardChaosStreams:
@@ -379,12 +392,15 @@ class TestShardChaosStreams:
         shard = fleet.shards[0]
         chaos = ShardChaos(shard)
         chaos.hang()
+        parked = _observe_gate(chaos)
         stream = shard.server.submit_stream("m0", np.zeros(4))
         got: list[int] = []
         consumer = threading.Thread(
             target=lambda: got.extend(i for i, _, _ in stream))
         consumer.start()
-        time.sleep(0.15)
+        assert parked.wait(timeout=30)        # the stream hit the gate
+        consumer.join(timeout=0.1)            # ...and stays there
+        assert consumer.is_alive()
         assert got == []                      # production is gated
         chaos.release()
         consumer.join(timeout=30)
@@ -397,8 +413,9 @@ class TestShardChaosStreams:
         chaos = ShardChaos(shard)
         with fleet:
             chaos.hang()
+            parked = _observe_gate(chaos)
             future = fleet.submit("m0", np.zeros(4))
-            time.sleep(0.1)         # the worker parks on the first gate
+            assert parked.wait(timeout=30)   # the worker parks on the gate
             assert not future.done()
             # Re-entrant hang: the new gate takes over, the superseded
             # one opens — its waiter proceeds instead of hanging on an

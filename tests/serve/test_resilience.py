@@ -19,6 +19,7 @@ Contracts pinned here:
   ``FleetStats.lost == 0`` in all of it.
 """
 
+import itertools
 import threading
 import time
 
@@ -422,14 +423,18 @@ class TestFleetRetryIntegration:
         model, problem = served
         fleet = _fleet(shards=1, replicas=1)
         fleet.register_model("m", model, problem)
+        # The bucket's clock steps 3 ms per admission decision, so the
+        # refill does not depend on how long the first forward takes.
+        ticks = itertools.count()
         fleet.admission = AdmissionController(
-            TenantQuota(rate=200.0, burst=1.0))
+            TenantQuota(rate=200.0, burst=1.0),
+            clock=lambda: 0.003 * next(ticks))
         install_resilience(fleet, ResilienceConfig(retry=RetryConfig(
             max_attempts=5)))
         with fleet:
             fleet.predict("m", np.zeros(4), tenant="t", timeout=30)
-            # Bucket now empty: the second predict is throttled, waits
-            # retry_after_s (~5 ms at rate 200), then succeeds.
+            # Bucket now empty: the second predict is throttled (0.6
+            # tokens 3 ms later), waits retry_after_s, then succeeds.
             fleet.predict("m", np.ones(4), tenant="t", timeout=30)
         s = fleet.stats
         assert s.throttled >= 1
@@ -522,9 +527,12 @@ class TestFleetHedgeIntegration:
         by_id = {s.id: s for s in fleet.shards}
         backup = by_id[replica_id].server
         forward = backup._forward
+        busy = threading.Event()        # the backup's worker is occupied
+        unblock = threading.Event()
 
         def slow(entry, omegas, resolution):
-            time.sleep(0.3)
+            busy.set()
+            unblock.wait(timeout=30)
             return forward(entry, omegas, resolution)
 
         # The primary may not answer before the hedge is dispatched: a
@@ -543,11 +551,12 @@ class TestFleetHedgeIntegration:
         with fleet:
             # Occupy the backup's only worker so the hedge inner queues.
             blocker = backup.submit("m", np.zeros(4))
-            time.sleep(0.05)                 # let the blocker start
+            assert busy.wait(timeout=30)     # the blocker holds the worker
             future = fleet.submit("m", np.linspace(0.2, 0.8, 4))
             assert fleet.hedge_dispatch(future) is True
             hedged.set()
             fleet.await_result(future, timeout=30)
+            unblock.set()
             blocker.result(timeout=30)
         s = fleet.stats
         assert s.hedges == 1

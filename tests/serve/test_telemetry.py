@@ -19,19 +19,22 @@ Contracts pinned here:
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import MGDiffNet, PoissonProblem2D
 from repro.serve import (
-    NULL_SPAN, NULL_TRACER, ArrivalSpec, FaultSpec, FleetConfig, Gauge,
-    MetricsRegistry, MirroredCounters, PredictionServer, QuantileSketch,
-    ReplayHarness, ResilienceConfig, RetryConfig, Scenario, ServerConfig,
-    ShardedFleet, Telemetry, TenantSpec, Tracer, VirtualClock, export_jsonl,
-    format_summary, install_resilience, load_scenario, parse_jsonl,
-    summarize_spans,
+    NULL_SPAN, NULL_TRACER, AdmissionController, ArrivalSpec, FaultSpec,
+    FleetConfig, Gauge, MetricsRegistry, MirroredCounters, PredictionServer,
+    QuantileSketch, ReplayHarness, ResilienceConfig, RetryConfig, Scenario,
+    ServerConfig, ShardedFleet, Telemetry, TenantQuota, TenantSpec,
+    TenantThrottled, Tracer, VirtualClock, export_jsonl, format_summary,
+    install_resilience, load_scenario, parse_jsonl, summarize_spans,
 )
+from repro.serve.registry import RegistryError
 
 STORM_JSON = (Path(__file__).resolve().parents[2]
               / "benchmarks" / "scenarios" / "storm.json")
@@ -205,6 +208,52 @@ class TestConservationCrossCheck:
                               arrivals=ArrivalSpec(rate=30.0)))
         assert report.served == report.requests
         _assert_reconciled(fleet, telemetry)
+
+    def test_root_spans_match_counter_terms_one_for_one(self, served):
+        """Every counted read exports exactly one root span (unary
+        ``fleet.request`` or ``fleet.stream``) stamped with the term its
+        counter recorded — throttled streams included, which are
+        refused at call time, before any ``next``."""
+        model, problem = served
+        fleet = _fleet(shards=2)
+        fleet.register_model("m0", model, problem)
+        telemetry = Telemetry()
+        fleet.enable_telemetry(telemetry)
+        fleet.admission = AdmissionController(
+            TenantQuota(rate=1e-6, burst=1), clock=lambda: 0.0)
+        omega = np.zeros(4)
+        fleet.predict("m0", omega, tenant="a", timeout=30)
+        with pytest.raises(TenantThrottled):
+            fleet.submit("m0", omega, tenant="a")
+        with pytest.raises(TenantThrottled):
+            fleet.stream("m0", omega, tenant="a")      # raised by the call
+        assert fleet.stats.throttled == 2
+        assert sum(1 for _ in fleet.stream("m0", omega, tenant="b")) >= 1
+        with pytest.raises(ValueError):
+            fleet.predict("m0", np.zeros(7), timeout=30)
+        with pytest.raises(ValueError):
+            list(fleet.stream("m0", np.zeros(7)))
+        it = fleet.stream("m0", np.full(4, 0.5))
+        next(it)
+        it.close()                                     # cancelled
+        fleet.stream("m0", omega)                      # never consumed
+        for read in (fleet.submit, fleet.stream):      # never counted
+            with pytest.raises(RegistryError):
+                read("no-such-model", omega)
+        s = fleet.stats
+        assert s.lost == 0
+        roots = [sp for sp in parse_jsonl(telemetry.tracer.export_jsonl())
+                 if sp["name"] in ("fleet.request", "fleet.stream")]
+        by_term = Counter(sp["attrs"]["outcome"] for sp in roots)
+        # The unknown-model submit had opened its root span before the
+        # lookup failed: it exports stamped ``error``, a term no counter
+        # records.  The unknown-model stream raised before its span.
+        assert by_term.pop("error") == 1
+        assert len(roots) - 1 == s.submitted == 7
+        assert by_term == Counter({t: getattr(s, t) for t in CONSERVED
+                                   if getattr(s, t)})
+        assert by_term == Counter(served=2, throttled=2, errors=2,
+                                  cancelled=1)
 
     def test_resilience_views_registered(self, served):
         fleet, telemetry, _ = _virtual_run(
